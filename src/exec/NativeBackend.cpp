@@ -5,8 +5,9 @@
 // a shared object, and dlopen'd behind the same launch API the interpreting
 // backends serve. Shared objects are cached twice — in-process per module
 // content key (the frontend kernel-cache key when available, an IR-text
-// hash otherwise) and on disk per (source, compiler command) hash — so a
-// recompile or a rerun reuses the .so.
+// hash otherwise) in a support::SingleFlightCache, and on disk per
+// (source, compiler command) hash — so a recompile or a rerun reuses the
+// .so.
 //
 // Each lane of a team runs the compiled kernel entry on its own ucontext
 // fiber; runTeam is the scheduler, replaying the interpreter's
@@ -26,6 +27,7 @@
 //
 //===----------------------------------------------------------------------===//
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -33,7 +35,6 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <mutex>
 #include <sstream>
 #include <unordered_map>
 #include <vector>
@@ -47,6 +48,7 @@
 #include "exec/NativeABI.hpp"
 #include "exec/NativeCodegen.hpp"
 #include "ir/Printer.hpp"
+#include "support/SingleFlightCache.hpp"
 
 namespace codesign::exec {
 
@@ -129,10 +131,6 @@ std::string compilerFlags() {
   // and get instrumented the same way the harness is.
   Flags += " -fsanitize=undefined -fno-sanitize-recover=undefined";
 #endif
-  if (const char *Extra = std::getenv("CODESIGN_NATIVE_CXXFLAGS")) {
-    Flags += ' ';
-    Flags += Extra;
-  }
   return Flags;
 }
 
@@ -158,6 +156,9 @@ std::string readLogTail(const fs::path &Log) {
 /// Compile Source to a shared object in the disk cache and dlopen it. The
 /// cache key covers the source bytes and the full compiler command, so a
 /// toolchain or flag change recompiles instead of reusing a stale object.
+/// Threads and processes sharing the directory may compile the same key at
+/// once: every attempt writes its own pid- and counter-tagged source,
+/// object and log, and only the finished object is published, by rename.
 Expected<void *> compileAndLoad(const std::string &Source) {
   const std::string Cmd = compilerPath() + " " + compilerFlags();
   const std::string Key = hex64(fnv1a(Source + '\0' + Cmd));
@@ -169,12 +170,14 @@ Expected<void *> compileAndLoad(const std::string &Source) {
                      "': ", EC.message());
   const fs::path So = Dir / ("cg_" + Key + ".so");
   if (!fs::exists(So, EC)) {
-    const std::string Tag = std::to_string(::getpid());
-    const fs::path Src = Dir / ("cg_" + Key + ".cpp");
-    const fs::path TmpSo = Dir / ("cg_" + Key + "." + Tag + ".tmp.so");
-    const fs::path Log = Dir / ("cg_" + Key + "." + Tag + ".log");
+    static std::atomic<std::uint64_t> Attempts{0};
+    const std::string Stem = "cg_" + Key + "." + std::to_string(::getpid()) +
+                             "." + std::to_string(Attempts.fetch_add(1));
+    const fs::path Src = Dir / (Stem + ".cpp");
+    const fs::path TmpSo = Dir / (Stem + ".tmp.so");
+    const fs::path Log = Dir / (Stem + ".log");
     {
-      std::ofstream Out(Src, std::ios::trunc);
+      std::ofstream Out(Src);
       Out << Source;
       if (!Out)
         return makeError("cannot write generated source '", Src.string(),
@@ -183,19 +186,19 @@ Expected<void *> compileAndLoad(const std::string &Source) {
     const std::string Command = Cmd + " -o '" + TmpSo.string() + "' '" +
                                 Src.string() + "' 2> '" + Log.string() + "'";
     const int Status = std::system(Command.c_str());
-    if (Status != 0) {
-      std::string Diag = readLogTail(Log);
-      fs::remove(TmpSo, EC);
-      return makeError("host compiler failed (", Command,
-                       "):\n", Diag);
-    }
-    // Atomic publish: concurrent processes compiling the same key race
-    // benignly — last rename wins with identical bytes.
-    fs::rename(TmpSo, So, EC);
-    if (EC && !fs::exists(So))
+    const std::string Diag = Status != 0 ? readLogTail(Log) : std::string();
+    // Atomic publish: attempts racing on the same key all produce the same
+    // bytes, so whichever rename lands last is as good as any.
+    std::error_code PublishEC;
+    if (Status == 0)
+      fs::rename(TmpSo, So, PublishEC);
+    for (const fs::path &Tmp : {Src, Log, TmpSo})
+      fs::remove(Tmp, EC);
+    if (Status != 0)
+      return makeError("host compiler failed (", Command, "):\n", Diag);
+    if (PublishEC && !fs::exists(So, EC))
       return makeError("cannot publish compiled module '", So.string(),
-                       "': ", EC.message());
-    fs::remove(Log, EC);
+                       "': ", PublishEC.message());
   }
   void *Handle = ::dlopen(So.c_str(), RTLD_NOW | RTLD_LOCAL);
   if (!Handle) {
@@ -243,22 +246,12 @@ __asm__(
     ".size cgFiberSwitch,.-cgFiberSwitch\n");
 #endif
 
-std::uint64_t stackBytes() {
-  if (const char *S = std::getenv("CODESIGN_NATIVE_STACK_BYTES")) {
-    const std::uint64_t V = std::strtoull(S, nullptr, 10);
-    if (V >= 16 * 1024)
-      return V;
-  }
-  return 256 * 1024;
-}
+/// Lane stack size. Generated frames are dense uint64 slot arrays, so this
+/// is generous.
+constexpr std::uint64_t StackBytes = 256 * 1024;
 
-/// A lane stack: deliberately uninitialized heap memory sized by
-/// CODESIGN_NATIVE_STACK_BYTES (default 256 KiB — generated frames are
-/// dense uint64 slot arrays, so this is generous).
-struct StackBuf {
-  std::unique_ptr<std::uint8_t[]> Mem;
-  std::uint64_t Size = 0;
-};
+/// A lane stack: deliberately uninitialized heap memory of StackBytes.
+using StackBuf = std::unique_ptr<std::uint8_t[]>;
 
 /// Lane stacks recycle through a thread-local free list: a launch keeps at
 /// most threads-per-team fibers live at once but runs thousands of teams,
@@ -267,22 +260,15 @@ struct StackBuf {
 thread_local std::vector<StackBuf> StackPool;
 
 StackBuf acquireStack() {
-  const std::uint64_t Want = stackBytes();
-  while (!StackPool.empty()) {
-    StackBuf B = std::move(StackPool.back());
-    StackPool.pop_back();
-    if (B.Size == Want)
-      return B;
-    // Sized by a stale CODESIGN_NATIVE_STACK_BYTES value: drop it.
-  }
-  StackBuf B;
-  B.Mem.reset(new std::uint8_t[Want]);
-  B.Size = Want;
+  if (StackPool.empty())
+    return StackBuf(new std::uint8_t[StackBytes]);
+  StackBuf B = std::move(StackPool.back());
+  StackPool.pop_back();
   return B;
 }
 
 void recycleStack(StackBuf &&B) {
-  if (B.Mem && StackPool.size() < 256)
+  if (B && StackPool.size() < 256)
     StackPool.push_back(std::move(B));
 }
 
@@ -595,7 +581,7 @@ void runLane(HostTeam &H, std::uint32_t I) {
     // slots below it (zeroed — their first-entry values are never read).
     // After the `ret`, rsp sits where a `call fiberMain` would have left
     // it, so the generated code's alignment assumptions hold.
-    std::uint8_t *Top = Fb.Stack.Mem.get() + Fb.Stack.Size;
+    std::uint8_t *Top = Fb.Stack.get() + StackBytes;
     std::uintptr_t Entry =
         (reinterpret_cast<std::uintptr_t>(Top) - 8) & ~std::uintptr_t(15);
     void (*Fn)() = &fiberMain;
@@ -604,8 +590,8 @@ void runLane(HostTeam &H, std::uint32_t I) {
     std::memset(Fb.Sp, 0, 48);
 #else
     ::getcontext(&Fb.Ctx);
-    Fb.Ctx.uc_stack.ss_sp = Fb.Stack.Mem.get();
-    Fb.Ctx.uc_stack.ss_size = Fb.Stack.Size;
+    Fb.Ctx.uc_stack.ss_sp = Fb.Stack.get();
+    Fb.Ctx.uc_stack.ss_size = StackBytes;
     Fb.Ctx.uc_link = &H.SchedCtx;
     ::makecontext(&Fb.Ctx, &fiberMain, 0);
 #endif
@@ -867,34 +853,31 @@ private:
     Out.Cycles = MaxCycles;
   }
 
-  Expected<std::shared_ptr<const CompiledModule>>
-  ensureCompiled(const ir::Module &M) {
-    const std::string Key = moduleKey(M);
-    std::lock_guard<std::mutex> Lock(Mutex);
-    auto It = Cache.find(Key);
-    if (It != Cache.end())
-      return It->second;
-    auto CM = std::make_shared<CompiledModule>();
-    CM->Src = emitNativeModule(M);
-    auto Handle = compileAndLoad(CM->Src.Source);
-    if (!Handle)
-      return Handle.error();
-    CM->Handle = *Handle;
-    for (const auto &[Name, Info] : CM->Src.Kernels) {
-      void *Sym = ::dlsym(CM->Handle, Info.Symbol.c_str());
-      if (!Sym)
-        return makeError("generated module lacks driver symbol '",
-                         Info.Symbol, "' for kernel '@", Name, "'");
-      CM->Drivers[Name] = reinterpret_cast<DriverFn>(Sym);
-    }
-    auto Shared = std::shared_ptr<const CompiledModule>(std::move(CM));
-    Cache.emplace(Key, Shared);
-    return Shared;
+  using ModulePtr = std::shared_ptr<const CompiledModule>;
+
+  /// The module's compiled code, built at most once per content key no
+  /// matter how many launches race for it. Distinct modules compile
+  /// concurrently, and launches of compiled modules never wait on a build.
+  Expected<ModulePtr> ensureCompiled(const ir::Module &M) {
+    return Modules.getOrCompile(moduleKey(M), [&]() -> Expected<ModulePtr> {
+      auto CM = std::make_shared<CompiledModule>();
+      CM->Src = emitNativeModule(M);
+      auto Handle = compileAndLoad(CM->Src.Source);
+      if (!Handle)
+        return Handle.error();
+      CM->Handle = *Handle;
+      for (const auto &[Name, Info] : CM->Src.Kernels) {
+        void *Sym = ::dlsym(CM->Handle, Info.Symbol.c_str());
+        if (!Sym)
+          return makeError("generated module lacks driver symbol '",
+                           Info.Symbol, "' for kernel '@", Name, "'");
+        CM->Drivers[Name] = reinterpret_cast<DriverFn>(Sym);
+      }
+      return ModulePtr(std::move(CM));
+    });
   }
 
-  std::mutex Mutex;
-  std::unordered_map<std::string, std::shared_ptr<const CompiledModule>>
-      Cache;
+  support::SingleFlightCache<ModulePtr> Modules{"native-cache"};
 };
 
 } // namespace

@@ -1,7 +1,5 @@
 #include "frontend/KernelCache.hpp"
 
-#include "support/Stats.hpp"
-
 namespace codesign::frontend {
 
 namespace {
@@ -110,117 +108,6 @@ std::string KernelCache::key(const KernelSpec &Spec,
   // toggle bits above cannot see.
   putStr(Key, PipelineStr);
   return Key;
-}
-
-Expected<CompiledKernel> KernelCache::getOrCompile(
-    const std::string &Key,
-    const std::function<Expected<CompiledKernel>()> &Compile,
-    Outcome *WasOutcome) {
-  Shard &S = Shards[shardOf(Key)];
-  std::shared_ptr<Flight> F;
-  {
-    std::unique_lock<std::mutex> Lock(S.Mutex);
-    if (auto It = S.Entries.find(Key); It != S.Entries.end()) {
-      ++S.Hits;
-      Counters::global().add("kernel-cache.hits");
-      if (WasOutcome)
-        *WasOutcome = Outcome::Hit;
-      return It->second;
-    }
-    if (auto It = S.InFlight.find(Key); It != S.InFlight.end()) {
-      // Someone else is compiling this key right now: coalesce onto their
-      // flight instead of compiling again.
-      ++S.Coalesced;
-      Counters::global().add("kernel-cache.coalesced");
-      F = It->second;
-    } else {
-      // This caller wins the flight and compiles below, outside the shard
-      // lock — other keys in this shard stay serviceable meanwhile.
-      ++S.Misses;
-      Counters::global().add("kernel-cache.misses");
-      F = std::make_shared<Flight>();
-      S.InFlight.emplace(Key, F);
-      Lock.unlock();
-      auto Result = Compile();
-      {
-        std::lock_guard<std::mutex> Relock(S.Mutex);
-        if (Result)
-          S.Entries.emplace(Key, *Result);
-        S.InFlight.erase(Key);
-      }
-      {
-        std::lock_guard<std::mutex> FlightLock(F->M);
-        F->Done = true;
-        F->Ok = Result.hasValue();
-        if (Result)
-          F->Result = *Result;
-        else
-          F->ErrMsg = Result.error().message();
-      }
-      F->CV.notify_all();
-      if (WasOutcome)
-        *WasOutcome = Outcome::Miss;
-      return Result;
-    }
-  }
-  // Coalesced path: wait for the winner to finish, then share its result.
-  std::unique_lock<std::mutex> FlightLock(F->M);
-  F->CV.wait(FlightLock, [&] { return F->Done; });
-  if (WasOutcome)
-    *WasOutcome = Outcome::Coalesced;
-  if (!F->Ok)
-    return Error(F->ErrMsg);
-  return F->Result;
-}
-
-std::optional<CompiledKernel> KernelCache::lookup(const std::string &Key) {
-  Shard &S = Shards[shardOf(Key)];
-  std::lock_guard<std::mutex> Lock(S.Mutex);
-  auto It = S.Entries.find(Key);
-  if (It == S.Entries.end()) {
-    ++S.Misses;
-    Counters::global().add("kernel-cache.misses");
-    return std::nullopt;
-  }
-  ++S.Hits;
-  Counters::global().add("kernel-cache.hits");
-  return It->second;
-}
-
-void KernelCache::insert(const std::string &Key, const CompiledKernel &CK) {
-  Shard &S = Shards[shardOf(Key)];
-  std::lock_guard<std::mutex> Lock(S.Mutex);
-  S.Entries.emplace(Key, CK);
-}
-
-KernelCache::Stats KernelCache::stats() const {
-  Stats Out;
-  for (std::size_t I = 0; I < NumShards; ++I) {
-    const Shard &S = Shards[I];
-    std::lock_guard<std::mutex> Lock(S.Mutex);
-    Out.Shards[I] = ShardStats{S.Hits, S.Misses, S.Coalesced,
-                               S.Entries.size()};
-  }
-  return Out;
-}
-
-std::size_t KernelCache::size() const {
-  std::size_t N = 0;
-  for (const Shard &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S.Mutex);
-    N += S.Entries.size();
-  }
-  return N;
-}
-
-void KernelCache::clear() {
-  for (Shard &S : Shards) {
-    std::lock_guard<std::mutex> Lock(S.Mutex);
-    CODESIGN_ASSERT(S.InFlight.empty(),
-                    "KernelCache::clear with compilations in flight");
-    S.Entries.clear();
-    S.Hits = S.Misses = S.Coalesced = 0;
-  }
 }
 
 } // namespace codesign::frontend

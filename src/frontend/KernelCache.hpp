@@ -3,92 +3,33 @@
 // The benches recompile the same (spec, options) pairs many times — every
 // figure sweeps the same proxy kernels over the five build configurations —
 // and the multi-tenant service (src/service) adds thousands of *concurrent*
-// requests for the same kernels. The cache therefore provides:
-//
-//  * Content addressing: compiled kernels are keyed on the full content of
-//    the request — the serialized KernelSpec, the names and declared
-//    register pressure of every referenced native op, and every
-//    codegen/pipeline switch. The key is the complete serialization (not a
-//    digest), so lookups cannot collide.
-//
-//  * Sharding: entries are distributed over NumShards independently locked
-//    shards by key hash, so concurrent compiles of distinct kernels do not
-//    serialize on one mutex.
-//
-//  * Single-flight deduplication: getOrCompile guarantees that N concurrent
-//    requests for the same key perform exactly one compilation — the first
-//    requester compiles while the rest block on the in-flight entry and
-//    share its result. 1000 identical concurrent compiles = 1 miss.
+// requests for the same kernels. The cache is the process-wide
+// support::SingleFlightCache of compiled kernels (sharded, single-flight:
+// 1000 identical concurrent compiles = 1 miss), plus its content address:
+// compiled kernels are keyed on the full content of the request — the
+// serialized KernelSpec, the names and declared register pressure of every
+// referenced native op, and every codegen/pipeline switch. The key is the
+// complete serialization (not a digest), so lookups cannot collide.
 //
 //===----------------------------------------------------------------------===//
 #pragma once
 
-#include <array>
-#include <condition_variable>
-#include <cstdint>
-#include <functional>
-#include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 
 #include "frontend/TargetCompiler.hpp"
+#include "support/SingleFlightCache.hpp"
 
 namespace codesign::frontend {
 
 /// Process-wide cache of compiled kernels. Hits share the immutable module
 /// via CompiledKernel's shared_ptr; hit/miss/coalesced totals are mirrored
 /// into support::Counters ("kernel-cache.hits" / "kernel-cache.misses" /
-/// "kernel-cache.coalesced").
-class KernelCache {
+/// "kernel-cache.coalesced"). Failed compilations are not cached: every
+/// waiter receives the error and a later request retries.
+class KernelCache : public support::SingleFlightCache<CompiledKernel> {
 public:
-  /// Shard fan-out. A small power of two: enough that a handful of service
-  /// workers compiling distinct kernels rarely contend on one lock, small
-  /// enough that per-shard hit rates stay meaningful in bench reports.
-  static constexpr std::size_t NumShards = 8;
-
-  /// Per-shard event counts. Misses count executed compilations; coalesced
-  /// counts requests that waited on another thread's in-flight compile
-  /// (the single-flight proof: misses per distinct key is exactly 1 no
-  /// matter how many requests raced).
-  struct ShardStats {
-    std::uint64_t Hits = 0;
-    std::uint64_t Misses = 0;
-    std::uint64_t Coalesced = 0;
-    std::uint64_t Entries = 0;
-  };
-
-  /// Snapshot of every shard plus aggregate accessors.
-  struct Stats {
-    std::array<ShardStats, NumShards> Shards;
-    [[nodiscard]] std::uint64_t hits() const { return total(&ShardStats::Hits); }
-    [[nodiscard]] std::uint64_t misses() const {
-      return total(&ShardStats::Misses);
-    }
-    [[nodiscard]] std::uint64_t coalesced() const {
-      return total(&ShardStats::Coalesced);
-    }
-    [[nodiscard]] std::uint64_t entries() const {
-      return total(&ShardStats::Entries);
-    }
-
-  private:
-    [[nodiscard]] std::uint64_t total(std::uint64_t ShardStats::*F) const {
-      std::uint64_t Sum = 0;
-      for (const ShardStats &S : Shards)
-        Sum += S.*F;
-      return Sum;
-    }
-  };
-
-  /// How a getOrCompile request was satisfied.
-  enum class Outcome {
-    Hit,       ///< served from a completed entry
-    Miss,      ///< this caller executed the compilation
-    Coalesced, ///< waited on another caller's in-flight compilation
-  };
+  KernelCache() : SingleFlightCache("kernel-cache") {}
 
   static KernelCache &global();
 
@@ -100,63 +41,6 @@ public:
   static std::string key(const KernelSpec &Spec, const CompileOptions &Options,
                          const vgpu::NativeRegistry &Registry,
                          std::string_view PipelineStr = {});
-
-  /// The single-flight entry point: return the cached kernel for Key, or
-  /// run Compile exactly once per key no matter how many threads race.
-  /// Concurrent requesters for the same key block until the winner's
-  /// Compile returns and then share its result. Failed compilations are
-  /// not cached (every waiter receives the error; a later request retries).
-  /// WasOutcome, when given, reports how this call was satisfied.
-  Expected<CompiledKernel>
-  getOrCompile(const std::string &Key,
-               const std::function<Expected<CompiledKernel>()> &Compile,
-               Outcome *WasOutcome = nullptr);
-
-  /// Cached kernel for Key; nullopt on miss. Counts a hit or a miss.
-  /// (Non-coalescing probe, kept for direct cache inspection; compileKernel
-  /// goes through getOrCompile.)
-  std::optional<CompiledKernel> lookup(const std::string &Key);
-  /// Record a successful compilation under Key (failures are not cached).
-  void insert(const std::string &Key, const CompiledKernel &CK);
-
-  /// Per-shard and aggregate statistics.
-  [[nodiscard]] Stats stats() const;
-  [[nodiscard]] std::uint64_t hits() const { return stats().hits(); }
-  [[nodiscard]] std::uint64_t misses() const { return stats().misses(); }
-  [[nodiscard]] std::uint64_t coalesced() const { return stats().coalesced(); }
-  [[nodiscard]] std::size_t size() const;
-  /// Drop every entry and zero the counters (test isolation). Must not be
-  /// called while compilations are in flight.
-  void clear();
-
-  /// Shard a key the same way the cache does (bench reports label shards).
-  static std::size_t shardOf(const std::string &Key) {
-    return std::hash<std::string>{}(Key) % NumShards;
-  }
-
-private:
-  /// An in-flight compilation: the winner fills Result/Err and flips Done;
-  /// losers wait on CV. Kept alive by shared_ptr so waiters survive the
-  /// shard erasing the marker.
-  struct Flight {
-    std::mutex M;
-    std::condition_variable CV;
-    bool Done = false;
-    bool Ok = false;
-    CompiledKernel Result;
-    std::string ErrMsg;
-  };
-
-  struct Shard {
-    mutable std::mutex Mutex;
-    std::unordered_map<std::string, CompiledKernel> Entries;
-    std::unordered_map<std::string, std::shared_ptr<Flight>> InFlight;
-    std::uint64_t Hits = 0;
-    std::uint64_t Misses = 0;
-    std::uint64_t Coalesced = 0;
-  };
-
-  std::array<Shard, NumShards> Shards;
 };
 
 } // namespace codesign::frontend

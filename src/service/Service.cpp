@@ -21,18 +21,12 @@ std::uint64_t nowMicros() {
 } // namespace
 
 Service::Service(vgpu::VirtualGPU &Device, ServiceConfig Config)
-    : Device(Device), Config(Config), Host(Device),
-      Pool(std::max(1u, Config.Workers)) {
+    : Device(Device), Config(Config), Host(Device) {
   this->Config.Workers = std::max(1u, Config.Workers);
   this->Config.QueueCapacity = std::max<std::size_t>(1, Config.QueueCapacity);
-  // The runner thread turns the fork-join pool into a service worker pool:
-  // parallelFor hands each index of [0, Workers) to a distinct thread (the
-  // runner itself claims one), and every index runs the drain loop until
-  // shutdown flips Stopping.
-  Runner = std::thread([this] {
-    Pool.parallelFor(this->Config.Workers,
-                     [this](std::uint64_t) { workerLoop(); });
-  });
+  WorkerThreads.reserve(this->Config.Workers);
+  for (unsigned I = 0; I < this->Config.Workers; ++I)
+    WorkerThreads.emplace_back([this] { workerLoop(); });
 }
 
 Service::~Service() {
@@ -43,7 +37,8 @@ Service::~Service() {
   }
   NotEmpty.notify_all();
   NotFull.notify_all();
-  Runner.join();
+  for (std::thread &W : WorkerThreads)
+    W.join();
 }
 
 void Service::workerLoop() {

@@ -8,9 +8,8 @@
 //
 //   * Futures: every submit returns a Ticket (future) for the request's
 //     Expected outcome; clients overlap submission freely.
-//   * Queueing: the queue is backed by the support::ThreadPool — the
-//     service's worker slots are one parallelFor index space swept by the
-//     pool, each slot draining jobs until shutdown.
+//   * Queueing: ServiceConfig::Workers plain threads drain the queue, each
+//     running jobs until shutdown.
 //   * Admission control: the queue is bounded; when full, submissions
 //     either block for space or are rejected with an error, per
 //     ServiceConfig::Policy (backpressure instead of unbounded memory).
@@ -45,7 +44,6 @@
 #include "host/HostRuntime.hpp"
 #include "service/Ticket.hpp"
 #include "support/Stats.hpp"
-#include "support/ThreadPool.hpp"
 
 namespace codesign::service {
 
@@ -57,7 +55,7 @@ enum class AdmissionPolicy {
 
 /// Service shape: worker parallelism and admission control.
 struct ServiceConfig {
-  /// Worker slots draining the queue (clamped to >= 1).
+  /// Worker threads draining the queue (clamped to >= 1).
   unsigned Workers = 4;
   /// Maximum queued (not yet executing) requests.
   std::size_t QueueCapacity = 64;
@@ -192,8 +190,7 @@ private:
   Expected<std::uint64_t> enqueue(const std::string &Tenant,
                                   std::function<void()> Run,
                                   std::function<void()> Publish);
-  /// One worker slot: drains jobs until shutdown. Runs as a parallelFor
-  /// index of the backing ThreadPool.
+  /// One worker thread's body: drains jobs until shutdown.
   void workerLoop();
   /// Bind a compiled kernel's module into the host runtime (idempotent for
   /// the cache-shared module; an error for a genuine name conflict).
@@ -239,11 +236,7 @@ private:
 
   std::atomic<std::uint64_t> NextRequestId{1};
 
-  // The PR-1 fork-join pool provides the worker threads: the runner thread
-  // sweeps the [0, Workers) index space, every index being one worker slot
-  // that drains the queue until shutdown.
-  support::ThreadPool Pool;
-  std::thread Runner;
+  std::vector<std::thread> WorkerThreads;
 };
 
 } // namespace codesign::service

@@ -119,8 +119,9 @@ TEST(Apps, GridMiniMatchesCudaFlops) {
   const double OptFlops = R.at("New RT").AppMetric;
   const double CudaFlops = R.at("CUDA").AppMetric;
   EXPECT_GT(OptFlops / CudaFlops, 0.9) << "Figure 12: GFLOPs parity";
-  if (frontend::hasOldRT())
+  if (frontend::hasOldRT()) {
     EXPECT_GT(OptFlops, R.at("Old RT (Nightly)").AppMetric);
+  }
 }
 
 TEST(Apps, GridMiniMemoryBoundBlocksBarrierElimination) {
@@ -157,8 +158,9 @@ TEST(Apps, TestSNAPKeepsScratchSharedMemory) {
   EXPECT_LE(R.at("New RT").Stats.SharedMemBytes, App.scratchBytes() + 32);
   EXPECT_GT(R.at("New RT (Nightly)").Stats.SharedMemBytes,
             App.scratchBytes());
-  if (frontend::hasOldRT())
+  if (frontend::hasOldRT()) {
     EXPECT_LT(cycles(R, "New RT"), cycles(R, "Old RT (Nightly)"));
+  }
 }
 
 TEST(Apps, MiniFMMImprovesButKeepsGapToCuda) {
@@ -168,10 +170,11 @@ TEST(Apps, MiniFMMImprovesButKeepsGapToCuda) {
   MiniFMM App(GPU, Cfg);
   auto R = runAll(App);
   // Paper: 1.85x improvement over the old runtime...
-  if (frontend::hasOldRT())
+  if (frontend::hasOldRT()) {
     EXPECT_GT(static_cast<double>(cycles(R, "Old RT (Nightly)")) /
                   static_cast<double>(cycles(R, "New RT - w/o Assumptions")),
               1.2);
+  }
   // ...but still a real gap to CUDA (nested tasking / thread states).
   EXPECT_GT(static_cast<double>(cycles(R, "New RT - w/o Assumptions")) /
                 static_cast<double>(cycles(R, "CUDA")),

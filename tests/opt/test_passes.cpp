@@ -349,8 +349,9 @@ TEST(LoadForwarding, InterferingStoreBetweenFactAndLoadBlocks) {
   runLoadForwarding(Fx.M, OptOptions{});
   Value *RetVal =
       Fx.K->entry()->inst(Fx.K->entry()->size() - 1)->operand(0);
-  if (const auto *CI = dynCast<ConstantInt>(RetVal))
+  if (const auto *CI = dynCast<ConstantInt>(RetVal)) {
     EXPECT_EQ(CI->value(), 9) << "if folded, it must be the clobber value";
+  }
 }
 
 TEST(LoadForwarding, SharedStoreWithoutBarrierNotForwarded) {
