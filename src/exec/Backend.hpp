@@ -46,6 +46,9 @@ struct LaunchEnv {
 struct TeamOutcome {
   std::optional<std::string> Err; ///< trap/deadlock message, empty = clean
   std::uint64_t Cycles = 0;       ///< the team's modeled wall time
+  /// Shared-memory bytes the backend cleared or re-initialized at team
+  /// start (exec.team.shared_zeroed_bytes.<backend>).
+  std::uint64_t SharedZeroedBytes = 0;
 };
 
 /// A kernel bound by a backend for execution: whatever per-(image, kernel)

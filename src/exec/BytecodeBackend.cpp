@@ -57,6 +57,9 @@ public:
         NumTeams, NumThreads, Kernel, Args, Metrics, Profile);
     Out.Err = std::move(R.Err);
     Out.Cycles = R.Cycles;
+    // The executor rewrites the static segment at team start; bytes beyond
+    // it are zero-filled only as the team grows into them.
+    Out.SharedZeroedBytes = Image.sharedStaticSize();
   }
 };
 

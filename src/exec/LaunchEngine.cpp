@@ -13,8 +13,8 @@
 #include <algorithm>
 
 #include "exec/BuiltinBackends.hpp"
+#include "support/Stats.hpp"
 #include "support/ThreadPool.hpp"
-#include "vgpu/KernelStats.hpp"
 
 namespace codesign::exec {
 
@@ -115,8 +115,7 @@ LaunchResult launch(Backend &B, const LaunchEnv &Env,
 
   // Occupancy: how many teams one SM can host concurrently, limited by
   // shared memory and register usage (the Figure 11 -> Figure 10 link).
-  const KernelStaticStats Stats =
-      vgpu::computeKernelStats(*Kernel, Env.Registry);
+  const KernelStaticStats Stats = Image.kernelStats(Kernel, Env.Registry);
   std::uint32_t Occupancy = Config.MaxConcurrentTeamsPerSM;
   if (Stats.SharedMemBytes > 0)
     Occupancy = std::min<std::uint32_t>(
@@ -184,6 +183,18 @@ LaunchResult launch(Backend &B, const LaunchEnv &Env,
     support::ThreadPool Pool(Workers);
     Pool.parallelFor(NumTeams, RunTeam);
   }
+
+  // Per-launch counters, summed over the shards: one Counters::add each
+  // per launch, never one per team.
+  std::uint64_t TeamsRun = 0, ZeroedBytes = 0;
+  for (const TeamShard &S : Shards) {
+    TeamsRun += S.Ran ? 1 : 0;
+    ZeroedBytes += S.Out.SharedZeroedBytes;
+  }
+  const std::string Suffix(B.name());
+  Counters::global().add("exec.launch.teams." + Suffix, TeamsRun);
+  Counters::global().add("exec.team.shared_zeroed_bytes." + Suffix,
+                         ZeroedBytes);
 
   // Deterministic merge in team-ID order.
   std::vector<std::vector<std::uint64_t>> PerSM(Config.NumSMs);

@@ -283,6 +283,17 @@ struct LaneFiber {
   bool Started = false;
 };
 
+/// Per-access metric/profile counters of one team, kept in the worker's
+/// scratch and flushed into the team's shard once (finishTeam): the shard
+/// array is shared with other workers, so per-event increments there would
+/// ping-pong cache lines.
+struct HotCounters {
+  vgpu::GlobalAccessCounts Global;
+  std::uint64_t SharedLoads = 0, SharedStores = 0;
+  std::uint64_t SharedBytesRead = 0, SharedBytesWritten = 0;
+  std::uint64_t LocalAccesses = 0, NativeCycles = 0;
+};
+
 struct HostTeam {
   const LaunchEnv *Env = nullptr;
   vgpu::LaunchMetrics *Metrics = nullptr;
@@ -292,6 +303,9 @@ struct HostTeam {
   std::vector<abi::cg_lane> Lanes;
   std::vector<std::vector<std::uint64_t>> SlotStore;
   std::vector<std::vector<std::uint8_t>> LocalStore;
+  HotCounters Cnt;
+  /// Shared arena, kept across teams at the device cap. Invariant between
+  /// teams: every byte at or beyond T.shared_hwm is zero.
   std::vector<std::uint8_t> Shared;
 #if CODESIGN_FIBER_RAWSWITCH
   void *SchedSp = nullptr;
@@ -331,6 +345,24 @@ void trapLane(abi::cg_lane &L, const char *Msg) {
   L.status = 2u;
 }
 
+/// Reset a recycled lane for a new team. msg_buf keeps its stale bytes:
+/// only the trap path writes it, immediately before pointing trap_msg at
+/// it, so zeroing its 192 bytes per lane per team would buy nothing.
+void resetLane(abi::cg_lane &L, abi::cg_team &T, std::uint64_t *Slots,
+               std::uint32_t Tid) {
+  L.team = &T;
+  L.slots = Slots;
+  L.local_top = 0;
+  L.local_base = nullptr;
+  L.local_size = 0;
+  L.cycles = 0;
+  L.trap_msg = nullptr;
+  L.tid = Tid;
+  L.status = 0;
+  L.barrier_site = 0;
+  L.barrier_aligned = 0;
+}
+
 /// Grow (or map) lane L's local backing so [0, Need) is addressable, with
 /// the interpreter BumpArena's growth policy; updates the window the
 /// generated fast path checks against.
@@ -352,23 +384,31 @@ std::uint8_t *lanLocalData(HostTeam &H, abi::cg_lane &L, std::uint64_t Off,
   return Store.data() + Off;
 }
 
+/// Bump the team's shared high-water mark over [0, End): every shared byte
+/// at or beyond the mark is zero, so the next team on this worker re-zeroes
+/// only the prefix below it.
+void touchShared(HostTeam &H, std::uint64_t End) {
+  H.T.shared_hwm = std::max(H.T.shared_hwm, End);
+}
+
 /// Interpreter TeamExecutor::resolve, host side (used by the NativeCtx
 /// bridge; the generated code has its own identical copy).
 std::uint8_t *bridgeResolve(HostTeam &H, abi::cg_lane &L, DeviceAddr A,
                             unsigned Size) {
   switch (A.space()) {
   case MemSpace::Global:
-    if (A.offset() + Size > H.Env->GM.capacity()) {
+    if (A.offset() + Size > H.T.global_size) {
       trapLane(L, "global access out of bounds");
       return nullptr;
     }
-    return H.Env->GM.data(A.offset(), Size);
+    return H.T.global_base + A.offset();
   case MemSpace::Shared:
-    if (A.offset() + Size > H.Env->Config.SharedMemPerTeam) {
+    if (A.offset() + Size > H.T.shared_cap) {
       trapLane(L, "shared memory access out of bounds");
       return nullptr;
     }
-    return H.Shared.data() + A.offset();
+    touchShared(H, A.offset() + Size);
+    return H.T.shared_base + A.offset();
   case MemSpace::Local:
     if (H.Env->Config.DebugChecks && A.owner() != L.tid) {
       std::snprintf(L.msg_buf, sizeof(L.msg_buf),
@@ -388,46 +428,44 @@ std::uint8_t *bridgeResolve(HostTeam &H, abi::cg_lane &L, DeviceAddr A,
   return nullptr;
 }
 
-/// Interpreter chargeAccess: cost-model cycles + metric/profile counters.
+/// Interpreter chargeAccess: cost-model cycles + metric/profile counters,
+/// counted into the team's hot block (flushed once by finishTeam).
 void chargeAccess(HostTeam &H, abi::cg_lane &L, MemSpace S, bool IsStore,
-                  bool IsAtomic, unsigned SizeBytes) {
+                  std::uint64_t Count, std::uint64_t Bytes) {
   const vgpu::CostModel &C = H.Env->Config.Costs;
-  std::uint64_t Cost = 0;
+  HotCounters &Cnt = H.Cnt;
   switch (S) {
   case MemSpace::Global:
-    Cost = IsAtomic ? C.AtomicGlobal : C.GlobalAccess;
-    (IsStore ? H.Metrics->GlobalStores : H.Metrics->GlobalLoads)++;
-    if (H.Profile)
-      (IsStore ? H.Profile->GlobalBytesWritten
-               : H.Profile->GlobalBytesRead) += SizeBytes;
+    L.cycles += Count * C.GlobalAccess;
+    (IsStore ? Cnt.Global.Stores : Cnt.Global.Loads) += Count;
+    (IsStore ? Cnt.Global.BytesWritten : Cnt.Global.BytesRead) += Bytes;
     break;
   case MemSpace::Shared:
-    Cost = IsAtomic ? C.AtomicShared : C.SharedAccess;
-    (IsStore ? H.Metrics->SharedStores : H.Metrics->SharedLoads)++;
-    if (H.Profile)
-      (IsStore ? H.Profile->SharedBytesWritten
-               : H.Profile->SharedBytesRead) += SizeBytes;
+    L.cycles += Count * C.SharedAccess;
+    (IsStore ? Cnt.SharedStores : Cnt.SharedLoads) += Count;
+    (IsStore ? Cnt.SharedBytesWritten : Cnt.SharedBytesRead) += Bytes;
     break;
   case MemSpace::Local:
-    Cost = C.LocalAccess;
-    H.Metrics->LocalAccesses++;
+    L.cycles += Count * C.LocalAccess;
+    Cnt.LocalAccesses += Count;
     break;
   case MemSpace::Invalid:
     break;
   }
-  if (IsAtomic)
-    H.Metrics->Atomics++;
-  L.cycles += Cost;
 }
 
 /// vgpu::NativeCtx over a generated lane: registered native functors see
 /// the interpreter's exact memory/charging semantics (NativeCtxImpl), so an
-/// app's native loop bodies are backend-invariant.
+/// app's native loop bodies are backend-invariant. In-bounds global
+/// accesses never get here: NativeCtx serves them inline from the window.
 class BridgeCtx final : public vgpu::NativeCtx {
 public:
   BridgeCtx(HostTeam &H, abi::cg_lane &L, const std::uint64_t *Args,
             std::uint32_t N)
-      : H(H), L(L), Args(Args), N(N) {}
+      : H(H), L(L), Args(Args), N(N) {
+    Window = {H.T.global_base, H.T.global_size,
+              H.Env->Config.Costs.GlobalAccess, &L.cycles, &H.Cnt.Global};
+  }
 
   unsigned numArgs() const override { return N; }
   std::uint64_t argBits(unsigned I) const override {
@@ -440,7 +478,7 @@ public:
       return 0;
     std::uint64_t Raw = 0;
     std::memcpy(&Raw, P, Size);
-    chargeAccess(H, L, A.space(), false, false, Size);
+    chargeAccess(H, L, A.space(), false, 1, Size);
     return Raw;
   }
   void storeBits(DeviceAddr A, std::uint64_t Bits, unsigned Size) override {
@@ -448,56 +486,11 @@ public:
     if (!P)
       return;
     std::memcpy(P, &Bits, Size);
-    chargeAccess(H, L, A.space(), true, false, Size);
-  }
-  void loadBlockF64(DeviceAddr A, double *Out, std::uint32_t Count) override {
-    const std::uint64_t Bytes = static_cast<std::uint64_t>(Count) * 8;
-    if (A.space() == MemSpace::Global &&
-        A.offset() + Bytes <= H.Env->GM.capacity()) {
-      std::memcpy(Out, H.Env->GM.data(A.offset(), Bytes), Bytes);
-      H.Metrics->GlobalLoads += Count;
-      if (H.Profile)
-        H.Profile->GlobalBytesRead += Bytes;
-      L.cycles += Count * H.Env->Config.Costs.GlobalAccess;
-      return;
-    }
-    if (A.space() == MemSpace::Shared &&
-        A.offset() + Bytes <= H.Env->Config.SharedMemPerTeam) {
-      std::memcpy(Out, H.Shared.data() + A.offset(), Bytes);
-      H.Metrics->SharedLoads += Count;
-      if (H.Profile)
-        H.Profile->SharedBytesRead += Bytes;
-      L.cycles += Count * H.Env->Config.Costs.SharedAccess;
-      return;
-    }
-    NativeCtx::loadBlockF64(A, Out, Count);
-  }
-  void storeBlockF64(DeviceAddr A, const double *In,
-                     std::uint32_t Count) override {
-    const std::uint64_t Bytes = static_cast<std::uint64_t>(Count) * 8;
-    if (A.space() == MemSpace::Global &&
-        A.offset() + Bytes <= H.Env->GM.capacity()) {
-      std::memcpy(H.Env->GM.data(A.offset(), Bytes), In, Bytes);
-      H.Metrics->GlobalStores += Count;
-      if (H.Profile)
-        H.Profile->GlobalBytesWritten += Bytes;
-      L.cycles += Count * H.Env->Config.Costs.GlobalAccess;
-      return;
-    }
-    if (A.space() == MemSpace::Shared &&
-        A.offset() + Bytes <= H.Env->Config.SharedMemPerTeam) {
-      std::memcpy(H.Shared.data() + A.offset(), In, Bytes);
-      H.Metrics->SharedStores += Count;
-      if (H.Profile)
-        H.Profile->SharedBytesWritten += Bytes;
-      L.cycles += Count * H.Env->Config.Costs.SharedAccess;
-      return;
-    }
-    NativeCtx::storeBlockF64(A, In, Count);
+    chargeAccess(H, L, A.space(), true, 1, Size);
   }
   void chargeCycles(std::uint64_t Cycles) override {
     L.cycles += Cycles;
-    H.Metrics->NativeCycles += Cycles;
+    H.Cnt.NativeCycles += Cycles;
   }
   void setResultBits(std::uint64_t Bits) override {
     Result = Bits;
@@ -509,7 +502,35 @@ public:
   std::uint64_t Result = 0;
   bool HasResult = false;
 
+protected:
+  void loadBlockSlow(DeviceAddr A, double *Out, std::uint32_t Count) override {
+    const std::uint64_t Bytes = static_cast<std::uint64_t>(Count) * 8;
+    if (!inSharedCap(A, Bytes)) {
+      NativeCtx::loadBlockSlow(A, Out, Count);
+      return;
+    }
+    touchShared(H, A.offset() + Bytes);
+    std::memcpy(Out, H.T.shared_base + A.offset(), Bytes);
+    chargeAccess(H, L, MemSpace::Shared, false, Count, Bytes);
+  }
+  void storeBlockSlow(DeviceAddr A, const double *In,
+                      std::uint32_t Count) override {
+    const std::uint64_t Bytes = static_cast<std::uint64_t>(Count) * 8;
+    if (!inSharedCap(A, Bytes)) {
+      NativeCtx::storeBlockSlow(A, In, Count);
+      return;
+    }
+    touchShared(H, A.offset() + Bytes);
+    std::memcpy(H.T.shared_base + A.offset(), In, Bytes);
+    chargeAccess(H, L, MemSpace::Shared, true, Count, Bytes);
+  }
+
 private:
+  bool inSharedCap(DeviceAddr A, std::uint64_t Bytes) const {
+    return A.space() == MemSpace::Shared &&
+           A.offset() + Bytes <= H.T.shared_cap;
+  }
+
   HostTeam &H;
   abi::cg_lane &L;
   const std::uint64_t *Args;
@@ -676,26 +697,31 @@ public:
 
     // One scratch HostTeam per worker thread, reused across the thousands
     // of teams a launch sweeps: the arenas and lane arrays keep their
-    // capacity, so per-team setup is a handful of memsets instead of ~2 ×
-    // NumThreads allocations. Everything a kernel can observe is reset
-    // below (shared arena re-zeroed, lanes and local stores cleared).
+    // capacity, so per-team setup allocates nothing and touches only what
+    // the previous team dirtied. Everything a kernel can observe is reset
+    // below (shared prefix re-zeroed, lanes and local stores cleared).
     thread_local HostTeam Scratch;
     HostTeam &H = Scratch;
+    // The shared arena is sized at the device cap once, so the window never
+    // moves (the interpreter grows on demand; the trap bound is identical),
+    // and only grows. Zero-filled growth keeps the high-water-mark
+    // invariant, so [0, max(static size, previous mark)) is all a team has
+    // to re-initialize.
+    const std::uint64_t Static = Image.sharedStaticSize();
+    const std::uint64_t Arena =
+        std::max({Env.Config.SharedMemPerTeam, Static, std::uint64_t{1}});
+    if (H.Shared.size() < Arena)
+      H.Shared.resize(Arena, 0);
+    const std::uint64_t Dirty = std::max(Static, H.T.shared_hwm);
+    Image.initTeamShared(H.Shared.data(), Dirty);
+    Out.SharedZeroedBytes = Dirty;
     H.T = abi::cg_team{};
+    H.T.shared_hwm = Static;
     H.Env = &Env;
     H.Metrics = &Metrics;
     H.Profile = Profile;
     H.TeamId = TeamId;
-    // Shared arena preallocated at the device cap so the window never moves
-    // (the interpreter grows on demand; the trap bound is identical). The
-    // max() keeps initTeamShared's arena precondition even for
-    // misconfigured tiny caps — the occupancy check rejects such launches
-    // before any team runs.
-    H.Shared.assign(std::max({Env.Config.SharedMemPerTeam,
-                              Image.sharedStaticSize(),
-                              std::uint64_t{1}}),
-                    0);
-    Image.initTeamShared(H.Shared);
+    H.Cnt = HotCounters{};
     H.Lanes.resize(NumThreads);
     H.SlotStore.resize(NumThreads);
     H.LocalStore.resize(NumThreads);
@@ -708,11 +734,7 @@ public:
       // per-team arena: clear() + the zero-filling regrowth in
       // lanLocalData re-zeroes exactly the bytes a lane actually maps.
       H.LocalStore[I].clear();
-      abi::cg_lane &L = H.Lanes[I];
-      L = abi::cg_lane{};
-      L.team = &H.T;
-      L.slots = Slots.data();
-      L.tid = I;
+      resetLane(H.Lanes[I], H.T, Slots.data(), I);
     }
     H.T.host = &H;
     H.T.lanes = H.Lanes.data();
@@ -832,10 +854,24 @@ public:
   }
 
 private:
-  /// Shared epilogue: trap formatting (the interpreter's exact wording) and
-  /// the team cycle count.
+  /// Shared epilogue: the hot-counter flush, trap formatting (the
+  /// interpreter's exact wording) and the team cycle count.
   static void finishTeam(const HostTeam &H, std::uint32_t TeamId,
                          TeamOutcome &Out) {
+    const HotCounters &C = H.Cnt;
+    vgpu::LaunchMetrics &M = *H.Metrics;
+    M.GlobalLoads += C.Global.Loads;
+    M.GlobalStores += C.Global.Stores;
+    M.SharedLoads += C.SharedLoads;
+    M.SharedStores += C.SharedStores;
+    M.LocalAccesses += C.LocalAccesses;
+    M.NativeCycles += C.NativeCycles;
+    if (H.Profile) {
+      H.Profile->GlobalBytesRead += C.Global.BytesRead;
+      H.Profile->GlobalBytesWritten += C.Global.BytesWritten;
+      H.Profile->SharedBytesRead += C.SharedBytesRead;
+      H.Profile->SharedBytesWritten += C.SharedBytesWritten;
+    }
     if (H.T.trapped) {
       if (H.T.team_trap_msg) {
         Out.Err = "team " + std::to_string(TeamId) + ": " +

@@ -331,6 +331,8 @@ static std::uint8_t *cg_resolve(cg_lane *L, std::uint64_t A,
       cg_trap(L, "shared memory access out of bounds");
       return nullptr;
     }
+    if (Off + Size > T->shared_hwm)
+      T->shared_hwm = Off + Size;
     return T->shared_base + Off;
   case 3: { // local
     const std::uint64_t Owner = (A >> 46) & 0xffffULL;

@@ -40,6 +40,9 @@ public:
                           Profile);
     Out.Err = std::move(R.Err);
     Out.Cycles = R.Cycles;
+    // The interpreter builds a fresh, fully initialized arena per team.
+    Out.SharedZeroedBytes =
+        std::max<std::uint64_t>(Image.sharedStaticSize(), 1);
   }
 };
 

@@ -13,6 +13,8 @@
 
 #include <atomic>
 #include <cstring>
+#include <span>
+#include <unordered_map>
 
 #include "ir/BasicBlock.hpp"
 #include "rt/RuntimeABI.hpp"
@@ -214,9 +216,7 @@ struct BCThreadState {
   std::uint64_t Cycles = 0;
   std::uint64_t InstCount = 0;
   std::string TrapMsg;
-  BumpArena Local;
-
-  explicit BCThreadState(std::uint64_t LocalCap) : Local(LocalCap) {}
+  BumpArena Local{0};
 };
 
 /// One uniform-execution log entry: either the broadcast value of a
@@ -238,6 +238,21 @@ struct WarpLog {
 /// and later lanes fall back to per-lane execution.
 constexpr std::size_t LogCap = 1u << 20;
 
+/// Team scratch kept per worker thread and recycled across the teams it
+/// runs, as the native backend keeps its HostTeam: once a worker has run
+/// one team of a given size, setting up the next allocates nothing. Thread
+/// and warp-log entries past the current team's counts are spares that
+/// keep their capacity for larger teams. Teams never nest on a thread
+/// (native ops cannot launch), so one instance per thread suffices.
+struct BCTeamScratch {
+  std::vector<BCThreadState> Threads;
+  std::vector<WarpLog> Logs;
+  std::vector<std::uint8_t> SharedArena;
+  std::vector<std::uint64_t> NativeArgs;
+  std::vector<std::uint64_t> PhiBuf; ///< parallel-copy staging buffer
+  std::unordered_map<std::uint64_t, ShadowCell> SharedShadow;
+};
+
 class BCTeamExecutor {
 public:
   BCTeamExecutor(const DeviceConfig &Config, GlobalMemory &GM,
@@ -247,14 +262,19 @@ public:
                  std::uint32_t TeamId, std::uint32_t NumTeams,
                  std::uint32_t NumThreads, const ir::Function *Kernel,
                  std::span<const std::uint64_t> Args, LaunchMetrics &Metrics,
-                 LaunchProfile *Profile)
+                 LaunchProfile *Profile, BCTeamScratch &Scratch)
       : Config(Config), GM(GM), Registry(Registry), Image(Image), BC(BC),
         Pools(Pools), TeamId(TeamId), NumTeams(NumTeams),
         NumThreads(NumThreads), Metrics(Metrics), Profile(Profile),
-        GMBase(GM.data(0, 0)), GMCap(GM.capacity()) {
-    SharedArena.resize(std::max<std::uint64_t>(Image.sharedStaticSize(), 1),
-                       0);
-    Image.initTeamShared(SharedArena);
+        GMBase(GM.data(0, 0)), GMCap(GM.capacity()),
+        SharedArena(Scratch.SharedArena), NativeArgScratch(Scratch.NativeArgs),
+        SharedShadow(Scratch.SharedShadow), PhiBuf(Scratch.PhiBuf) {
+    // The arena grows on demand with zero fill (resolve), so truncating it
+    // to the static segment and writing that segment's image is a complete
+    // reset: in steady state, one pass over sharedStaticSize() bytes.
+    SharedArena.resize(Image.sharedStaticSize());
+    Image.initTeamShared(SharedArena.data(), SharedArena.size());
+    SharedShadow.clear();
     if (Config.DetectRaces) {
       if (const ir::GlobalVariable *Dummy =
               Image.module().findGlobal(rt::DummyName)) {
@@ -268,26 +288,46 @@ public:
     CODESIGN_ASSERT(KernelBC && KernelBC->HasBody,
                     "kernel has no bytecode body");
     const std::uint32_t WS = std::max<std::uint32_t>(Config.WarpSize, 1);
-    Logs.resize((NumThreads + WS - 1) / WS);
-    Threads.reserve(NumThreads);
+    const std::uint32_t NumWarps = (NumThreads + WS - 1) / WS;
+    if (Scratch.Logs.size() < NumWarps)
+      Scratch.Logs.resize(NumWarps);
+    Logs = std::span<WarpLog>(Scratch.Logs.data(), NumWarps);
+    for (WarpLog &L : Logs) {
+      L.Started = false;
+      L.Entries.clear();
+    }
+    if (Scratch.Threads.size() < NumThreads)
+      Scratch.Threads.resize(NumThreads);
+    Threads = std::span<BCThreadState>(Scratch.Threads.data(), NumThreads);
+    const std::vector<std::uint64_t> &Pool = Pools[KernelBC->Index];
     for (std::uint32_t T = 0; T < NumThreads; ++T) {
-      Threads.emplace_back(Config.LocalMemPerThread);
-      // Index, don't cache a reference across the emplace: stays correct
-      // even if the reserve above is ever dropped or sized differently.
       BCThreadState &TS = Threads[T];
       TS.Tid = T;
-      BCFrame F;
+      TS.Status = ThreadStatus::Running;
+      TS.BarrierInst = nullptr;
+      TS.Cycles = 0;
+      TS.InstCount = 0;
+      TS.TrapMsg.clear();
+      // Fresh local memory reads back zeroed: reset() drops the bytes and
+      // regrowth zero-fills only what this team maps.
+      TS.Local.reset(Config.LocalMemPerThread);
+      // Frames past the kernel frame stay behind as spares.
+      if (TS.Frames.empty())
+        TS.Frames.emplace_back();
+      TS.Depth = 1;
+      BCFrame &F = TS.Frames[0];
       F.BF = KernelBC;
       F.Code = KernelBC->Code.data();
       F.PC = KernelBC->Entry;
-      const std::vector<std::uint64_t> &Pool = Pools[KernelBC->Index];
-      F.Slots.resize(KernelBC->NumSlots + Pool.size(), 0);
+      F.RetPC = 0;
+      F.CallerDst = BCNoSlot;
+      F.CallerRetTy = 0;
+      F.LocalWatermark = 0;
+      F.Slots.assign(KernelBC->NumSlots + Pool.size(), 0);
       std::copy(Pool.begin(), Pool.end(),
                 F.Slots.begin() + KernelBC->NumSlots);
       for (unsigned A = 0; A < KernelBC->NumArgs; ++A)
         F.Slots[A] = canonValK(KernelBC->ArgTyKinds[A], Args[A]);
-      TS.Frames.push_back(std::move(F));
-      TS.Depth = 1;
     }
   }
 
@@ -298,8 +338,8 @@ public:
     // write, so per-event increments would ping-pong cache lines. One flush
     // when the team retires keeps totals identical to the tree walker's.
     Metrics.DynamicInstructions += Cnt.DynamicInstructions;
-    Metrics.GlobalLoads += Cnt.GlobalLoads;
-    Metrics.GlobalStores += Cnt.GlobalStores;
+    Metrics.GlobalLoads += Cnt.Global.Loads;
+    Metrics.GlobalStores += Cnt.Global.Stores;
     Metrics.SharedLoads += Cnt.SharedLoads;
     Metrics.SharedStores += Cnt.SharedStores;
     Metrics.LocalAccesses += Cnt.LocalAccesses;
@@ -309,8 +349,8 @@ public:
     if (Profile) {
       for (std::size_t K = 0; K < NumOpClasses; ++K)
         Profile->OpCounts[K] += Cnt.Ops[K];
-      Profile->GlobalBytesRead += Cnt.GlobalBytesRead;
-      Profile->GlobalBytesWritten += Cnt.GlobalBytesWritten;
+      Profile->GlobalBytesRead += Cnt.Global.BytesRead;
+      Profile->GlobalBytesWritten += Cnt.Global.BytesWritten;
       Profile->SharedBytesRead += Cnt.SharedBytesRead;
       Profile->SharedBytesWritten += Cnt.SharedBytesWritten;
     }
@@ -463,8 +503,8 @@ private:
     switch (S) {
     case MemSpace::Global:
       Cost = IsAtomic ? C.AtomicGlobal : C.GlobalAccess;
-      (IsStore ? Cnt.GlobalStores : Cnt.GlobalLoads)++;
-      (IsStore ? Cnt.GlobalBytesWritten : Cnt.GlobalBytesRead) += SizeBytes;
+      (IsStore ? Cnt.Global.Stores : Cnt.Global.Loads)++;
+      (IsStore ? Cnt.Global.BytesWritten : Cnt.Global.BytesRead) += SizeBytes;
       break;
     case MemSpace::Shared:
       Cost = IsAtomic ? C.AtomicShared : C.SharedAccess;
@@ -531,8 +571,8 @@ private:
     if (A.space() == MemSpace::Global && A.offset() + Size <= GMCap) {
       std::uint64_t Raw = 0;
       std::memcpy(&Raw, GMBase + A.offset(), Size);
-      Cnt.GlobalLoads++;
-      Cnt.GlobalBytesRead += Size;
+      Cnt.Global.Loads++;
+      Cnt.Global.BytesRead += Size;
       T.Cycles += Config.Costs.GlobalAccess;
       return isIntKind(K) ? canonIntK(K, Raw) : Raw;
     }
@@ -554,8 +594,8 @@ private:
                    BCThreadState &T) {
     if (A.space() == MemSpace::Global && A.offset() + Size <= GMCap) {
       std::memcpy(GMBase + A.offset(), &Bits, Size);
-      Cnt.GlobalStores++;
-      Cnt.GlobalBytesWritten += Size;
+      Cnt.Global.Stores++;
+      Cnt.Global.BytesWritten += Size;
       T.Cycles += Config.Costs.GlobalAccess;
       return;
     }
@@ -576,11 +616,16 @@ private:
 
   //--- Native operations ------------------------------------------------------
 
+  /// In-bounds global accesses never get here: NativeCtx serves them
+  /// inline from the window this context fills in.
   class NativeCtxImpl final : public NativeCtx {
   public:
     NativeCtxImpl(BCTeamExecutor &Exec, BCThreadState &T,
                   const std::uint64_t *Args, unsigned N)
-        : Exec(Exec), T(T), Args(Args), N(N) {}
+        : Exec(Exec), T(T), Args(Args), N(N) {
+      Window = {Exec.GMBase, Exec.GMCap, Exec.Config.Costs.GlobalAccess,
+                &T.Cycles, &Exec.Cnt.Global};
+    }
 
     unsigned numArgs() const override { return N; }
     std::uint64_t argBits(unsigned I) const override {
@@ -588,14 +633,6 @@ private:
       return Args[I];
     }
     std::uint64_t loadBits(DeviceAddr A, unsigned Size) override {
-      if (A.space() == MemSpace::Global && A.offset() + Size <= Exec.GMCap) {
-        std::uint64_t Raw = 0;
-        std::memcpy(&Raw, Exec.GMBase + A.offset(), Size);
-        Exec.Cnt.GlobalLoads++;
-        Exec.Cnt.GlobalBytesRead += Size;
-        T.Cycles += Exec.Config.Costs.GlobalAccess;
-        return Raw;
-      }
       std::uint8_t *P = Exec.resolve(A, Size, T);
       if (!P)
         return 0;
@@ -605,61 +642,11 @@ private:
       return Raw;
     }
     void storeBits(DeviceAddr A, std::uint64_t Bits, unsigned Size) override {
-      if (A.space() == MemSpace::Global && A.offset() + Size <= Exec.GMCap) {
-        std::memcpy(Exec.GMBase + A.offset(), &Bits, Size);
-        Exec.Cnt.GlobalStores++;
-        Exec.Cnt.GlobalBytesWritten += Size;
-        T.Cycles += Exec.Config.Costs.GlobalAccess;
-        return;
-      }
       std::uint8_t *P = Exec.resolve(A, Size, T);
       if (!P)
         return;
       std::memcpy(P, &Bits, Size);
       Exec.chargeAccess(T, A.space(), true, false, Size);
-    }
-    void loadBlockF64(DeviceAddr A, double *Out, std::uint32_t Count) override {
-      const std::uint64_t Bytes = static_cast<std::uint64_t>(Count) * 8;
-      if (A.space() == MemSpace::Global && A.offset() + Bytes <= Exec.GMCap) {
-        std::memcpy(Out, Exec.GMBase + A.offset(), Bytes);
-        Exec.Cnt.GlobalLoads += Count;
-        Exec.Cnt.GlobalBytesRead += Bytes;
-        T.Cycles += Count * Exec.Config.Costs.GlobalAccess;
-        return;
-      }
-      if (A.space() == MemSpace::Shared &&
-          A.offset() + Bytes <= Exec.Config.SharedMemPerTeam) {
-        if (A.offset() + Bytes > Exec.SharedArena.size())
-          Exec.SharedArena.resize(A.offset() + Bytes, 0);
-        std::memcpy(Out, Exec.SharedArena.data() + A.offset(), Bytes);
-        Exec.Cnt.SharedLoads += Count;
-        Exec.Cnt.SharedBytesRead += Bytes;
-        T.Cycles += Count * Exec.Config.Costs.SharedAccess;
-        return;
-      }
-      NativeCtx::loadBlockF64(A, Out, Count);
-    }
-    void storeBlockF64(DeviceAddr A, const double *In,
-                       std::uint32_t Count) override {
-      const std::uint64_t Bytes = static_cast<std::uint64_t>(Count) * 8;
-      if (A.space() == MemSpace::Global && A.offset() + Bytes <= Exec.GMCap) {
-        std::memcpy(Exec.GMBase + A.offset(), In, Bytes);
-        Exec.Cnt.GlobalStores += Count;
-        Exec.Cnt.GlobalBytesWritten += Bytes;
-        T.Cycles += Count * Exec.Config.Costs.GlobalAccess;
-        return;
-      }
-      if (A.space() == MemSpace::Shared &&
-          A.offset() + Bytes <= Exec.Config.SharedMemPerTeam) {
-        if (A.offset() + Bytes > Exec.SharedArena.size())
-          Exec.SharedArena.resize(A.offset() + Bytes, 0);
-        std::memcpy(Exec.SharedArena.data() + A.offset(), In, Bytes);
-        Exec.Cnt.SharedStores += Count;
-        Exec.Cnt.SharedBytesWritten += Bytes;
-        T.Cycles += Count * Exec.Config.Costs.SharedAccess;
-        return;
-      }
-      NativeCtx::storeBlockF64(A, In, Count);
     }
     void chargeCycles(std::uint64_t Cycles) override {
       T.Cycles += Cycles;
@@ -675,7 +662,48 @@ private:
     std::uint64_t Result = 0;
     bool HasResult = false;
 
+  protected:
+    void loadBlockSlow(DeviceAddr A, double *Out,
+                       std::uint32_t Count) override {
+      std::uint8_t *P = sharedBlock(A, Count);
+      if (!P) {
+        NativeCtx::loadBlockSlow(A, Out, Count);
+        return;
+      }
+      std::memcpy(Out, P, static_cast<std::uint64_t>(Count) * 8);
+      chargeShared(false, Count);
+    }
+    void storeBlockSlow(DeviceAddr A, const double *In,
+                        std::uint32_t Count) override {
+      std::uint8_t *P = sharedBlock(A, Count);
+      if (!P) {
+        NativeCtx::storeBlockSlow(A, In, Count);
+        return;
+      }
+      std::memcpy(P, In, static_cast<std::uint64_t>(Count) * 8);
+      chargeShared(true, Count);
+    }
+
   private:
+    /// En-bloc view of Count in-cap shared f64s at A (the arena grows with
+    /// zero fill like resolve), or null to take the scalar loop.
+    std::uint8_t *sharedBlock(DeviceAddr A, std::uint32_t Count) {
+      const std::uint64_t End =
+          A.offset() + static_cast<std::uint64_t>(Count) * 8;
+      if (A.space() != MemSpace::Shared || End > Exec.Config.SharedMemPerTeam)
+        return nullptr;
+      if (End > Exec.SharedArena.size())
+        Exec.SharedArena.resize(End, 0);
+      return Exec.SharedArena.data() + A.offset();
+    }
+    void chargeShared(bool IsStore, std::uint32_t Count) {
+      const std::uint64_t Bytes = static_cast<std::uint64_t>(Count) * 8;
+      (IsStore ? Exec.Cnt.SharedStores : Exec.Cnt.SharedLoads) += Count;
+      (IsStore ? Exec.Cnt.SharedBytesWritten : Exec.Cnt.SharedBytesRead) +=
+          Bytes;
+      T.Cycles += Count * Exec.Config.Costs.SharedAccess;
+    }
+
     BCTeamExecutor &Exec;
     BCThreadState &T;
     const std::uint64_t *Args;
@@ -701,30 +729,30 @@ private:
   /// lifetime, so one pointer serves every access of the launch.
   std::uint8_t *GMBase = nullptr;
   std::uint64_t GMCap = 0;
-  std::vector<std::uint8_t> SharedArena;
-  std::vector<std::uint64_t> NativeArgScratch;
+  // Per-worker scratch (BCTeamScratch), reset for this team.
+  std::vector<std::uint8_t> &SharedArena;
+  std::vector<std::uint64_t> &NativeArgScratch;
+  std::unordered_map<std::uint64_t, ShadowCell> &SharedShadow;
+  std::vector<std::uint64_t> &PhiBuf;
+  std::span<BCThreadState> Threads;
   /// Hot metric/profile counters, flushed into the shard once in run().
   struct HotCounters {
     std::uint64_t DynamicInstructions = 0;
     std::array<std::uint64_t, NumOpClasses> Ops{};
-    std::uint64_t GlobalLoads = 0, GlobalStores = 0;
+    GlobalAccessCounts Global;
     std::uint64_t SharedLoads = 0, SharedStores = 0;
     std::uint64_t LocalAccesses = 0, Atomics = 0, Calls = 0;
     std::uint64_t NativeCycles = 0;
-    std::uint64_t GlobalBytesRead = 0, GlobalBytesWritten = 0;
     std::uint64_t SharedBytesRead = 0, SharedBytesWritten = 0;
   } Cnt;
-  std::vector<BCThreadState> Threads;
   std::uint64_t TeamCycles = 0;
   std::uint64_t BarrierEpoch = 1;
-  std::unordered_map<std::uint64_t, ShadowCell> SharedShadow;
   std::uint64_t DummyLo = 0, DummyHi = 0;
   // Warp-uniform execution state. A segment is the run between barrier
   // rendezvous; it is "aligned" when every live thread starts it at the
   // same program point in the kernel frame (true at kernel entry).
   bool SegmentAligned = true;
-  std::vector<WarpLog> Logs;
-  std::vector<std::uint64_t> PhiBuf; ///< parallel-copy staging buffer
+  std::span<WarpLog> Logs;
 };
 
 void BCTeamExecutor::stepThread(BCThreadState &T) {
@@ -1421,8 +1449,10 @@ BCTeamResult runBytecodeTeam(const DeviceConfig &Config, GlobalMemory &GM,
                              const ir::Function *Kernel,
                              std::span<const std::uint64_t> Args,
                              LaunchMetrics &Metrics, LaunchProfile *Profile) {
+  thread_local BCTeamScratch Scratch;
   BCTeamExecutor Exec(Config, GM, Registry, Image, BC, Pools, TeamId,
-                      NumTeams, NumThreads, Kernel, Args, Metrics, Profile);
+                      NumTeams, NumThreads, Kernel, Args, Metrics, Profile,
+                      Scratch);
   BCTeamResult R;
   R.Err = Exec.run();
   R.Cycles = Exec.teamCycles();

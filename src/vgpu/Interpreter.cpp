@@ -1,6 +1,7 @@
 #include "vgpu/Interpreter.hpp"
 
 #include "vgpu/IntOps.hpp"
+#include "vgpu/KernelStats.hpp"
 
 #include <atomic>
 #include <cstring>
@@ -186,11 +187,30 @@ DeviceAddr ModuleImage::addressOf(const GlobalVariable *G) const {
   return It->second;
 }
 
-void ModuleImage::initTeamShared(std::vector<std::uint8_t> &Arena) const {
-  CODESIGN_ASSERT(Arena.size() >= SharedSize, "shared arena too small");
-  std::fill(Arena.begin(), Arena.end(), 0);
-  if (!SharedInit.empty())
-    std::memcpy(Arena.data(), SharedInit.data(), SharedInit.size());
+void ModuleImage::initTeamShared(std::uint8_t *Arena,
+                                 std::uint64_t Bytes) const {
+  CODESIGN_ASSERT(Bytes >= SharedSize, "shared arena too small");
+  if (SharedSize > 0)
+    std::memcpy(Arena, SharedInit.data(), SharedSize);
+  if (Bytes > SharedSize)
+    std::memset(Arena + SharedSize, 0, Bytes - SharedSize);
+}
+
+KernelStaticStats
+ModuleImage::kernelStats(const Function *Kernel,
+                         const NativeRegistry &Registry) const {
+  {
+    std::lock_guard<std::mutex> Lock(StatsMutex);
+    for (const StatsEntry &E : StatsMemo)
+      if (E.Kernel == Kernel && E.Registry == &Registry)
+        return E.Stats;
+  }
+  // Computed outside the lock; racing first launches may both compute the
+  // same deterministic value.
+  const KernelStaticStats Stats = computeKernelStats(*Kernel, Registry);
+  std::lock_guard<std::mutex> Lock(StatsMutex);
+  StatsMemo.push_back({Kernel, &Registry, Stats});
+  return Stats;
 }
 
 DeviceAddr ModuleImage::functionAddress(const Function *F) const {

@@ -63,7 +63,21 @@ public:
 
   /// Initialize a team's shared arena (static segment initializers, zeros
   /// elsewhere). Arena must be at least sharedStaticSize() bytes.
-  void initTeamShared(std::vector<std::uint8_t> &Arena) const;
+  void initTeamShared(std::vector<std::uint8_t> &Arena) const {
+    initTeamShared(Arena.data(), Arena.size());
+  }
+  /// Initialize the first Bytes bytes of a team's shared arena in one pass:
+  /// the static segment's initializer image, then zeros up to Bytes. For
+  /// arenas recycled across teams whose tail is known to be zero already.
+  /// Bytes must be at least sharedStaticSize().
+  void initTeamShared(std::uint8_t *Arena, std::uint64_t Bytes) const;
+
+  /// The kernel's static resource usage (vgpu::computeKernelStats),
+  /// computed on first request per (kernel, registry) and then served from
+  /// this image: the image and its module are immutable, and a registry
+  /// only ever appends operations.
+  [[nodiscard]] KernelStaticStats
+  kernelStats(const Function *Kernel, const NativeRegistry &Registry) const;
 
   /// Pseudo-address representing the address of function F (usable as an
   /// indirect-call target only).
@@ -111,6 +125,13 @@ private:
   mutable std::shared_ptr<const BytecodeModule> BCMod;
   mutable std::vector<std::vector<std::uint64_t>> BCPools;
   mutable bool BCPoolsReady = false;
+  struct StatsEntry {
+    const Function *Kernel;
+    const NativeRegistry *Registry;
+    KernelStaticStats Stats;
+  };
+  mutable std::mutex StatsMutex;
+  mutable std::vector<StatsEntry> StatsMemo;
 };
 
 /// Outcome of a kernel launch.

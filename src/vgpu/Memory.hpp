@@ -81,8 +81,13 @@ public:
     CODESIGN_ASSERT(Mark <= Top, "invalid watermark restore");
     Top = Mark;
   }
-  /// Reset for reuse by the next team.
-  void reset() { Top = 0; }
+  /// Reset for reuse by the next team: drop the contents (regrowth
+  /// zero-fills again) but keep the backing capacity.
+  void reset(std::uint64_t NewCap) {
+    Cap = NewCap;
+    Bytes.clear();
+    Top = 0;
+  }
 
   [[nodiscard]] std::uint8_t *data(std::uint64_t Offset, std::uint64_t Size) {
     CODESIGN_ASSERT(Offset + Size <= Cap, "local access out of bounds");

@@ -33,25 +33,28 @@ TEST(Barriers, BroadcastThroughShared) {
   B.setInsertPoint(JoinBB);
   B.barrier(); // unaligned: threads arrive from different blocks
   Value *V = B.load(Type::i64(), State);
-  Value *Out = B.gep(K->arg(0), B.mul(B.zext(Tid, Type::i64()), B.i64(8)));
-  B.store(V, Out);
+  // out[bid * T + tid]: teams store to disjoint words.
+  Value *Row = B.mul(B.zext(B.blockId(), Type::i64()),
+                     B.zext(B.blockDim(), Type::i64()));
+  Value *Idx = B.add(Row, B.zext(Tid, Type::i64()));
+  B.store(V, B.gep(K->arg(0), B.mul(Idx, B.i64(8))));
   B.retVoid();
   ASSERT_TRUE(verifyModule(M).empty());
 
   VirtualGPU GPU;
   auto Image = GPU.loadImage(M);
-  constexpr std::uint32_t T = 32;
-  DeviceAddr Buf = GPU.allocate(T * 8);
+  constexpr std::uint32_t T = 32, Teams = 3;
+  DeviceAddr Buf = GPU.allocate(Teams * T * 8);
   std::uint64_t Args[] = {Buf.Bits, 4242};
-  LaunchResult R = GPU.launch(*Image, "bcast", Args, 3, T);
+  LaunchResult R = GPU.launch(*Image, "bcast", Args, Teams, T);
   ASSERT_TRUE(R.Ok) << R.Error;
   EXPECT_EQ(R.Metrics.Barriers, 3u) << "one rendezvous per team";
-  std::vector<std::uint8_t> Raw(T * 8);
+  std::vector<std::uint8_t> Raw(Teams * T * 8);
   GPU.read(Buf, Raw);
-  for (std::uint32_t I = 0; I < T; ++I) {
+  for (std::uint32_t I = 0; I < Teams * T; ++I) {
     std::int64_t V;
     std::memcpy(&V, Raw.data() + I * 8, 8);
-    EXPECT_EQ(V, 4242) << "thread " << I;
+    EXPECT_EQ(V, 4242) << "team " << I / T << " thread " << I % T;
   }
 }
 
@@ -219,7 +222,11 @@ TEST(Barriers, StateMachinePattern) {
   B.retVoid();
 
   B.setInsertPoint(Main);
-  B.store(K->arg(0), ArgSlot);
+  // Each team's workers write their own row of the output: arg0 + bid*T*8.
+  Value *RowBytes = B.mul(B.mul(B.zext(B.blockId(), Type::i64()),
+                                B.zext(B.blockDim(), Type::i64())),
+                          B.i64(8));
+  B.store(B.gep(K->arg(0), RowBytes), ArgSlot);
   B.store(Work->asValue(), Slot);
   B.barrier(1); // release workers
   B.barrier(2); // join
@@ -230,19 +237,22 @@ TEST(Barriers, StateMachinePattern) {
 
   VirtualGPU GPU;
   auto Image = GPU.loadImage(M);
-  constexpr std::uint32_t T = 9; // 8 workers + 1 main
-  DeviceAddr Buf = GPU.allocate(T * 8);
-  std::vector<std::uint8_t> Zero(T * 8, 0);
+  constexpr std::uint32_t T = 9, Teams = 2; // 8 workers + 1 main per team
+  DeviceAddr Buf = GPU.allocate(Teams * T * 8);
+  std::vector<std::uint8_t> Zero(Teams * T * 8, 0);
   GPU.write(Buf, Zero);
   std::uint64_t Args[] = {Buf.Bits};
-  LaunchResult R = GPU.launch(*Image, "machine", Args, 2, T);
+  LaunchResult R = GPU.launch(*Image, "machine", Args, Teams, T);
   ASSERT_TRUE(R.Ok) << R.Error;
-  std::vector<std::uint8_t> Raw(T * 8);
+  std::vector<std::uint8_t> Raw(Teams * T * 8);
   GPU.read(Buf, Raw);
-  for (std::uint32_t I = 0; I + 1 < T; ++I) { // workers only
-    std::int64_t V;
-    std::memcpy(&V, Raw.data() + I * 8, 8);
-    EXPECT_EQ(V, static_cast<std::int64_t>(I + 100)) << "worker " << I;
+  for (std::uint32_t Team = 0; Team < Teams; ++Team) {
+    for (std::uint32_t I = 0; I + 1 < T; ++I) { // workers only
+      std::int64_t V;
+      std::memcpy(&V, Raw.data() + (Team * T + I) * 8, 8);
+      EXPECT_EQ(V, static_cast<std::int64_t>(I + 100))
+          << "team " << Team << " worker " << I;
+    }
   }
 }
 

@@ -301,24 +301,27 @@ TEST(Interpreter, IndirectCallThroughSharedSlot) {
   B.barrier();
   Value *Fn = B.load(Type::ptr(), Slot);
   Value *R = B.callIndirect(Type::i64(), Fn, {});
-  Value *Out = B.gep(K->arg(0), B.mul(B.zext(Tid, Type::i64()), B.i64(8)));
-  B.store(R, Out);
+  // out[bid * T + tid]: teams store to disjoint words.
+  Value *Row = B.mul(B.zext(B.blockId(), Type::i64()),
+                     B.zext(B.blockDim(), Type::i64()));
+  Value *Idx = B.add(Row, B.zext(Tid, Type::i64()));
+  B.store(R, B.gep(K->arg(0), B.mul(Idx, B.i64(8))));
   B.retVoid();
   ASSERT_TRUE(verifyModule(M).empty());
 
   VirtualGPU GPU;
   auto Image = GPU.loadImage(M);
-  constexpr std::uint32_t T = 16;
-  DeviceAddr Buf = GPU.allocate(T * 8);
+  constexpr std::uint32_t T = 16, Teams = 2;
+  DeviceAddr Buf = GPU.allocate(Teams * T * 8);
   std::uint64_t Args[] = {Buf.Bits};
-  LaunchResult LR = GPU.launch(*Image, "indirect", Args, 2, T);
+  LaunchResult LR = GPU.launch(*Image, "indirect", Args, Teams, T);
   ASSERT_TRUE(LR.Ok) << LR.Error;
-  std::vector<std::uint8_t> Raw(T * 8);
+  std::vector<std::uint8_t> Raw(Teams * T * 8);
   GPU.read(Buf, Raw);
-  for (std::uint32_t I = 0; I < T; ++I) {
+  for (std::uint32_t I = 0; I < Teams * T; ++I) {
     std::int64_t V;
     std::memcpy(&V, Raw.data() + I * 8, 8);
-    EXPECT_EQ(V, 77) << "thread " << I;
+    EXPECT_EQ(V, 77) << "team " << I / T << " thread " << I % T;
   }
 }
 

@@ -54,25 +54,48 @@ TEST(CostModelBehaviour, TeamsSpreadAcrossSMs) {
   K->addAttr(FnAttr::Kernel);
   IRBuilder B(M);
   B.setInsertPoint(K->createBlock("entry"));
+  // Every thread owns the word p = &arg0[bid * bdim + tid] (teams touch
+  // disjoint words) and stores 8 * *p there.
+  Value *Idx = B.add(B.mul(B.zext(B.blockId(), Type::i64()),
+                           B.zext(B.blockDim(), Type::i64())),
+                     B.zext(B.threadId(), Type::i64()));
+  Value *P = B.gep(K->arg(0), B.mul(Idx, B.i64(8)));
   Value *Acc = B.i64(0);
   for (int I = 0; I < 8; ++I)
-    Acc = B.add(Acc, B.load(Type::i64(), K->arg(0)));
-  B.store(Acc, K->arg(0));
+    Acc = B.add(Acc, B.load(Type::i64(), P));
+  B.store(Acc, P);
   B.retVoid();
+  constexpr std::uint32_t T = 4, MaxTeams = 8;
+  // Launch Teams teams over a buffer of ones; every team's row must read
+  // back 8 per thread.
+  const auto Run = [&](VirtualGPU &G, const ModuleImage &Img,
+                       DeviceAddr Buf, std::uint32_t Teams) {
+    std::vector<std::int64_t> Ones(MaxTeams * T, 1);
+    G.write(Buf, std::span(reinterpret_cast<const std::uint8_t *>(Ones.data()),
+                           Ones.size() * 8));
+    std::uint64_t Args[] = {Buf.Bits};
+    LaunchResult R = G.launch(Img, "k", Args, Teams, T);
+    std::vector<std::int64_t> Got(MaxTeams * T);
+    G.read(Buf, std::span(reinterpret_cast<std::uint8_t *>(Got.data()),
+                          Got.size() * 8));
+    for (std::uint32_t I = 0; I < Teams * T; ++I)
+      EXPECT_EQ(Got[I], 8) << Teams << " teams: team " << I / T
+                           << " thread " << I % T;
+    return R;
+  };
   DeviceConfig Cfg;
   Cfg.NumSMs = 4;
   // Pin occupancy to one team per SM so the round structure is exact.
   Cfg.MaxConcurrentTeamsPerSM = 1;
   VirtualGPU GPU(Cfg);
   auto Img = GPU.loadImage(M);
-  DeviceAddr Buf = GPU.allocate(8);
-  std::uint64_t Args[] = {Buf.Bits};
-  LaunchResult R4 = GPU.launch(*Img, "k", Args, 4, 4);
-  LaunchResult R8 = GPU.launch(*Img, "k", Args, 8, 4);
+  DeviceAddr Buf = GPU.allocate(MaxTeams * T * 8);
+  LaunchResult R4 = Run(GPU, *Img, Buf, 4);
+  LaunchResult R8 = Run(GPU, *Img, Buf, 8);
   ASSERT_TRUE(R4.Ok && R8.Ok);
   EXPECT_EQ(R8.Metrics.KernelCycles, 2 * R4.Metrics.KernelCycles)
       << "8 teams on 4 SMs = 2 rounds";
-  LaunchResult R2 = GPU.launch(*Img, "k", Args, 2, 4);
+  LaunchResult R2 = Run(GPU, *Img, Buf, 2);
   EXPECT_EQ(R2.Metrics.KernelCycles, R4.Metrics.KernelCycles)
       << "2 or 4 teams both fit in one round";
   // With the default occupancy cap, higher occupancy absorbs more teams.
@@ -80,10 +103,9 @@ TEST(CostModelBehaviour, TeamsSpreadAcrossSMs) {
   Wide.NumSMs = 4;
   VirtualGPU GPU2(Wide);
   auto Img2 = GPU2.loadImage(M);
-  DeviceAddr Buf2 = GPU2.allocate(8);
-  std::uint64_t Args2[] = {Buf2.Bits};
-  LaunchResult W8 = GPU2.launch(*Img2, "k", Args2, 8, 4);
-  LaunchResult W4 = GPU2.launch(*Img2, "k", Args2, 4, 4);
+  DeviceAddr Buf2 = GPU2.allocate(MaxTeams * T * 8);
+  LaunchResult W8 = Run(GPU2, *Img2, Buf2, 8);
+  LaunchResult W4 = Run(GPU2, *Img2, Buf2, 4);
   ASSERT_TRUE(W8.Ok && W4.Ok);
   EXPECT_GT(W8.Metrics.TeamsPerSM, 1u);
   EXPECT_EQ(W8.Metrics.KernelCycles, W4.Metrics.KernelCycles)
