@@ -1,8 +1,8 @@
 //===- exec/Backend.hpp - Pluggable execution backends ---------------------===//
 //
 // One narrow abstraction over "how does a kernel actually run": the tree
-// interpreter, the warp-batched bytecode tier and the native C++ codegen
-// backend all implement exec::Backend and are selected by name through the
+// interpreter, the bytecode tier and the native C++ codegen backend all
+// implement exec::Backend and are selected by name through the
 // exec::BackendRegistry. The launch engine (LaunchEngine.cpp) owns
 // everything backend-independent — launch validation, occupancy, the
 // parallel team fan-out on the host ThreadPool and the deterministic
@@ -103,8 +103,8 @@ public:
   /// registration of the same name (latest wins, for test doubles).
   void add(std::unique_ptr<Backend> B);
 
-  /// Look up a backend by canonical name. Unknown names are a recoverable
-  /// error listing the registered backends.
+  /// Look up a backend by its registered name. Unknown names are a
+  /// recoverable error listing the registered backends.
   [[nodiscard]] Expected<Backend *> lookup(std::string_view Name) const;
 
   /// Registered backend names, in registration order.
@@ -115,13 +115,6 @@ private:
   std::vector<std::unique_ptr<Backend>> Backends;
 };
 
-/// Canonicalize a user-facing backend spelling ("tree"/"interp"/
-/// "interpreter", "bytecode"/"bc", "native") to its registry name.
-/// Unknown spellings are a recoverable error naming the valid choices —
-/// the CODESIGN_EXEC_BACKEND knob must reject typos instead of silently
-/// running the default backend.
-[[nodiscard]] Expected<std::string> canonicalBackendName(std::string_view V);
-
 /// Execute a launch through backend B: validate, compute occupancy,
 /// prepare/bind, fan teams out on the host ThreadPool and merge the
 /// per-team shards in team-ID order (bit-identical to a serial run).
@@ -130,8 +123,8 @@ launch(Backend &B, const LaunchEnv &Env, const vgpu::ModuleImage &Image,
        const ir::Function *Kernel, std::span<const std::uint64_t> Args,
        std::uint32_t NumTeams, std::uint32_t NumThreads);
 
-/// Convenience: canonicalize Name, look it up in the global registry and
-/// launch; resolution failures come back as LaunchResult errors.
+/// Convenience: look Name up in the global registry and launch;
+/// resolution failures come back as LaunchResult errors.
 [[nodiscard]] vgpu::LaunchResult
 launch(std::string_view Name, const LaunchEnv &Env,
        const vgpu::ModuleImage &Image, const ir::Function *Kernel,

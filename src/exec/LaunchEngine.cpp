@@ -69,17 +69,6 @@ std::vector<std::string> BackendRegistry::names() const {
   return Names;
 }
 
-Expected<std::string> canonicalBackendName(std::string_view V) {
-  if (V == "tree" || V == "interp" || V == "interpreter")
-    return std::string("tree");
-  if (V == "bytecode" || V == "bc")
-    return std::string("bytecode");
-  if (V == "native")
-    return std::string("native");
-  return Error("unknown execution backend '" + std::string(V) +
-               "' (valid: tree|interp|interpreter, bytecode|bc, native)");
-}
-
 //===----------------------------------------------------------------------===//
 // Launch engine
 //===----------------------------------------------------------------------===//
@@ -233,13 +222,7 @@ LaunchResult launch(std::string_view Name, const LaunchEnv &Env,
                     const vgpu::ModuleImage &Image, const ir::Function *Kernel,
                     std::span<const std::uint64_t> Args,
                     std::uint32_t NumTeams, std::uint32_t NumThreads) {
-  auto Canon = canonicalBackendName(Name);
-  if (!Canon) {
-    LaunchResult R;
-    R.Error = Canon.error().message();
-    return R;
-  }
-  auto B = BackendRegistry::global().lookup(*Canon);
+  auto B = BackendRegistry::global().lookup(Name);
   if (!B) {
     LaunchResult R;
     R.Error = B.error().message();

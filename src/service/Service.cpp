@@ -150,17 +150,27 @@ Expected<void> Service::registerCompiled(const frontend::CompiledKernel &CK) {
   return {};
 }
 
+template <typename T, typename Body>
+Expected<Ticket<T>> Service::submitJob(const std::string &Tenant, Body Run) {
+  auto Promise = std::make_shared<std::promise<Expected<T>>>();
+  auto Fut = Promise->get_future();
+  auto Slot = std::make_shared<std::optional<Expected<T>>>();
+  auto Id = enqueue(
+      Tenant, [Run = std::move(Run), Slot] { Slot->emplace(Run()); },
+      [Promise, Slot] { Promise->set_value(std::move(**Slot)); });
+  if (!Id)
+    return Id.error();
+  return Ticket<T>(*Id, std::move(Fut));
+}
+
 Expected<Ticket<void>>
 Service::submitRegister(std::string Tenant, std::shared_ptr<ir::Module> M,
                         std::shared_ptr<const vgpu::BytecodeModule> Bytecode) {
   if (!M)
     return makeError("service: submitRegister requires a module");
-  auto Promise = std::make_shared<std::promise<Expected<void>>>();
-  auto Fut = Promise->get_future();
-  auto Slot = std::make_shared<std::optional<Expected<void>>>();
-  auto Out = enqueue(
-      Tenant,
-      [this, Tenant, M = std::move(M), Bytecode = std::move(Bytecode), Slot] {
+  return submitJob<void>(
+      Tenant, [this, Tenant, M = std::move(M),
+               Bytecode = std::move(Bytecode)]() -> Expected<void> {
         Expected<void> R = [&]() -> Expected<void> {
           std::lock_guard<std::mutex> Lock(RegMutex);
           if (auto Reg = Host.registerImage(*M, Bytecode); !Reg)
@@ -172,27 +182,19 @@ Service::submitRegister(std::string Tenant, std::shared_ptr<ir::Module> M,
           return {};
         }();
         finishTenant(Tenant, R.hasValue());
-        *Slot = std::move(R);
-      },
-      [Promise, Slot] { Promise->set_value(std::move(**Slot)); });
-  if (!Out)
-    return Out.error();
-  return Ticket<void>(*Out, std::move(Fut));
+        return R;
+      });
 }
 
 Expected<Ticket<frontend::CompiledKernel>>
 Service::submitCompile(std::string Tenant, frontend::KernelSpec Spec,
                        frontend::CompileOptions Options) {
-  auto Promise =
-      std::make_shared<std::promise<Expected<frontend::CompiledKernel>>>();
-  auto Fut = Promise->get_future();
   auto SpecPtr = std::make_shared<frontend::KernelSpec>(std::move(Spec));
   auto OptPtr = std::make_shared<frontend::CompileOptions>(std::move(Options));
-  auto Slot =
-      std::make_shared<std::optional<Expected<frontend::CompiledKernel>>>();
-  auto Out = enqueue(
+  return submitJob<frontend::CompiledKernel>(
       Tenant,
-      [this, Tenant, SpecPtr, OptPtr, Slot] {
+      [this, Tenant, SpecPtr,
+       OptPtr]() -> Expected<frontend::CompiledKernel> {
         auto R = frontend::compileKernel(*SpecPtr, *OptPtr, Device.registry());
         if (R) {
           withTenant(Tenant, [&](TenantState &T) {
@@ -202,17 +204,12 @@ Service::submitCompile(std::string Tenant, frontend::KernelSpec Spec,
           });
           if (auto Reg = registerCompiled(*R); !Reg) {
             finishTenant(Tenant, false);
-            *Slot = Reg.error();
-            return;
+            return Reg.error();
           }
         }
         finishTenant(Tenant, R.hasValue());
-        *Slot = std::move(R);
-      },
-      [Promise, Slot] { Promise->set_value(std::move(**Slot)); });
-  if (!Out)
-    return Out.error();
-  return Ticket<frontend::CompiledKernel>(*Out, std::move(Fut));
+        return R;
+      });
 }
 
 Expected<Ticket<vgpu::LaunchResult>>
@@ -221,14 +218,10 @@ Service::submitLaunch(host::LaunchRequest Request) {
   // slot: the client gets the error synchronously.
   if (auto Valid = Request.validate(); !Valid)
     return Valid.error();
-  auto Promise = std::make_shared<std::promise<Expected<vgpu::LaunchResult>>>();
-  auto Fut = Promise->get_future();
   const std::string Tenant = Request.Tenant;
   auto ReqPtr = std::make_shared<host::LaunchRequest>(std::move(Request));
-  auto Slot = std::make_shared<std::optional<Expected<vgpu::LaunchResult>>>();
-  auto Out = enqueue(
-      Tenant,
-      [this, Tenant, ReqPtr, Slot] {
+  return submitJob<vgpu::LaunchResult>(
+      Tenant, [this, Tenant, ReqPtr]() -> Expected<vgpu::LaunchResult> {
         const std::uint64_t Start = nowMicros();
         auto R = Host.launch(*ReqPtr);
         const double WallMicros = static_cast<double>(nowMicros() - Start);
@@ -244,12 +237,8 @@ Service::submitLaunch(host::LaunchRequest Request) {
           }
         });
         finishTenant(Tenant, Ok);
-        *Slot = std::move(R);
-      },
-      [Promise, Slot] { Promise->set_value(std::move(**Slot)); });
-  if (!Out)
-    return Out.error();
-  return Ticket<vgpu::LaunchResult>(*Out, std::move(Fut));
+        return R;
+      });
 }
 
 namespace {
@@ -282,106 +271,96 @@ Service::submitPipeline(std::string Tenant,
     if (auto Valid = Requests[I].validate(); !Valid)
       return makeError("service: pipeline launch #", std::to_string(I), ": ",
                        Valid.error().message());
-  auto Promise = std::make_shared<std::promise<Expected<PipelineResult>>>();
-  auto Fut = Promise->get_future();
   auto Reqs = std::make_shared<std::vector<host::LaunchRequest>>(
       std::move(Requests));
-  auto Slot = std::make_shared<std::optional<Expected<PipelineResult>>>();
-  auto Out = enqueue(
-      Tenant,
-      [this, Tenant, Reqs, Slot] {
-    auto R = [&]() -> Expected<PipelineResult> {
-      // Plan residency: one entry per distinct buffer pointer, its motion
-      // needs OR-ed over every launch that names it.
-      struct BufPlan {
-        void *Ptr = nullptr;
-        std::uint64_t Bytes = 0;
-        bool NeedTo = false;
-        bool NeedFrom = false;
-      };
-      std::vector<BufPlan> Plan;
-      std::map<const void *, std::size_t> Index;
-      for (const host::LaunchRequest &Req : *Reqs) {
-        const ir::Function *K = Host.findKernel(Req.Kernel);
-        for (std::size_t A = 0; A < Req.Args.size(); ++A) {
-          const host::KernelArg &Arg = Req.Args[A];
-          if (Arg.K != host::KernelArg::Kind::Buffer)
-            continue;
-          const ir::MapKind M =
-              effectiveMap(Arg, K, static_cast<unsigned>(A));
-          auto [It, Fresh] = Index.try_emplace(Arg.HostPtr, Plan.size());
-          if (Fresh)
-            Plan.push_back(
-                BufPlan{const_cast<void *>(Arg.HostPtr), Arg.Bytes});
-          BufPlan &B = Plan[It->second];
-          if (B.Bytes != Arg.Bytes)
-            return makeError("service: pipeline maps one buffer with two "
-                             "sizes (",
-                             std::to_string(B.Bytes), " vs ",
-                             std::to_string(Arg.Bytes), " bytes)");
-          B.NeedTo |= ir::mapCopiesTo(M);
-          B.NeedFrom |= ir::mapCopiesFrom(M);
-        }
-      }
-      PipelineResult Res;
-      Res.HoistedBuffers = Plan.size();
-      // Prologue: make every buffer resident. To-motion only for buffers
-      // some launch actually reads.
-      for (std::size_t I = 0; I < Plan.size(); ++I) {
-        auto Addr = Host.enterData(Plan[I].Ptr, Plan[I].Bytes,
-                                   /*CopyTo=*/Plan[I].NeedTo,
-                                   &Res.Transfers);
-        if (!Addr) {
-          for (std::size_t J = I; J-- > 0;)
-            (void)Host.exitData(Plan[J].Ptr, /*CopyFrom=*/false,
-                                &Res.Transfers);
-          return makeError("service: pipeline could not map a buffer: ",
-                           Addr.error().message());
-        }
-      }
-      // Launches run in order; each one's buffer maps are refcount bumps.
-      bool AllOk = true;
-      std::string FirstError;
-      for (const host::LaunchRequest &Req : *Reqs) {
-        auto LR = Host.launch(Req);
-        if (!LR) {
-          AllOk = false;
-          FirstError = LR.error().message();
-          break;
-        }
-        Res.Transfers.accumulate(host::TransferStats{
-            LR->Profile.TransfersToDevice, LR->Profile.TransfersFromDevice,
-            LR->Profile.BytesToDevice, LR->Profile.BytesFromDevice,
-            LR->Profile.TransferCycles});
-        const bool Ok = LR->Ok;
-        Res.Launches.push_back(std::move(*LR));
-        if (!Ok) {
-          AllOk = false;
-          FirstError = Res.Launches.back().Error;
-          break;
-        }
-        withTenant(Tenant, [](TenantState &T) { ++T.Stats.Launches; });
-      }
-      // Epilogue: release residency. From-motion only when the whole
-      // pipeline succeeded — partial outputs stay on the device side.
-      for (std::size_t J = Plan.size(); J-- > 0;)
-        (void)Host.exitData(Plan[J].Ptr,
-                            /*CopyFrom=*/AllOk && Plan[J].NeedFrom,
-                            &Res.Transfers);
-      if (!AllOk)
-        return makeError("service: pipeline launch failed: ", FirstError);
-      Counters::global().add("service.pipeline.jobs");
-      Counters::global().add("service.pipeline.hoisted_buffers",
-                             Res.HoistedBuffers);
-      return Res;
-    }();
-    finishTenant(Tenant, R.hasValue());
-    *Slot = std::move(R);
-      },
-      [Promise, Slot] { Promise->set_value(std::move(**Slot)); });
-  if (!Out)
-    return Out.error();
-  return Ticket<PipelineResult>(*Out, std::move(Fut));
+  return submitJob<PipelineResult>(
+      Tenant, [this, Tenant, Reqs]() -> Expected<PipelineResult> {
+        auto R = runPipeline(Tenant, *Reqs);
+        finishTenant(Tenant, R.hasValue());
+        return R;
+      });
+}
+
+Expected<PipelineResult>
+Service::runPipeline(const std::string &Tenant,
+                     const std::vector<host::LaunchRequest> &Reqs) {
+  // Plan residency: one entry per distinct buffer pointer, its motion
+  // needs OR-ed over every launch that names it.
+  struct BufPlan {
+    void *Ptr = nullptr;
+    std::uint64_t Bytes = 0;
+    bool NeedTo = false;
+    bool NeedFrom = false;
+  };
+  std::vector<BufPlan> Plan;
+  std::map<const void *, std::size_t> Index;
+  for (const host::LaunchRequest &Req : Reqs) {
+    const ir::Function *K = Host.findKernel(Req.Kernel);
+    for (std::size_t A = 0; A < Req.Args.size(); ++A) {
+      const host::KernelArg &Arg = Req.Args[A];
+      if (Arg.K != host::KernelArg::Kind::Buffer)
+        continue;
+      const ir::MapKind M = effectiveMap(Arg, K, static_cast<unsigned>(A));
+      auto [It, Fresh] = Index.try_emplace(Arg.HostPtr, Plan.size());
+      if (Fresh)
+        Plan.push_back(BufPlan{const_cast<void *>(Arg.HostPtr), Arg.Bytes});
+      BufPlan &B = Plan[It->second];
+      if (B.Bytes != Arg.Bytes)
+        return makeError("service: pipeline maps one buffer with two sizes (",
+                         std::to_string(B.Bytes), " vs ",
+                         std::to_string(Arg.Bytes), " bytes)");
+      B.NeedTo |= ir::mapCopiesTo(M);
+      B.NeedFrom |= ir::mapCopiesFrom(M);
+    }
+  }
+  PipelineResult Res;
+  Res.HoistedBuffers = Plan.size();
+  // Prologue: make every buffer resident. To-motion only for buffers
+  // some launch actually reads.
+  for (std::size_t I = 0; I < Plan.size(); ++I) {
+    auto Addr = Host.enterData(Plan[I].Ptr, Plan[I].Bytes,
+                               /*CopyTo=*/Plan[I].NeedTo, &Res.Transfers);
+    if (!Addr) {
+      for (std::size_t J = I; J-- > 0;)
+        (void)Host.exitData(Plan[J].Ptr, /*CopyFrom=*/false, &Res.Transfers);
+      return makeError("service: pipeline could not map a buffer: ",
+                       Addr.error().message());
+    }
+  }
+  // Launches run in order; each one's buffer maps are refcount bumps.
+  bool AllOk = true;
+  std::string FirstError;
+  for (const host::LaunchRequest &Req : Reqs) {
+    auto LR = Host.launch(Req);
+    if (!LR) {
+      AllOk = false;
+      FirstError = LR.error().message();
+      break;
+    }
+    Res.Transfers.accumulate(host::TransferStats{
+        LR->Profile.TransfersToDevice, LR->Profile.TransfersFromDevice,
+        LR->Profile.BytesToDevice, LR->Profile.BytesFromDevice,
+        LR->Profile.TransferCycles});
+    const bool Ok = LR->Ok;
+    Res.Launches.push_back(std::move(*LR));
+    if (!Ok) {
+      AllOk = false;
+      FirstError = Res.Launches.back().Error;
+      break;
+    }
+    withTenant(Tenant, [](TenantState &T) { ++T.Stats.Launches; });
+  }
+  // Epilogue: release residency. From-motion only when the whole
+  // pipeline succeeded — partial outputs stay on the device side.
+  for (std::size_t J = Plan.size(); J-- > 0;)
+    (void)Host.exitData(Plan[J].Ptr, /*CopyFrom=*/AllOk && Plan[J].NeedFrom,
+                        &Res.Transfers);
+  if (!AllOk)
+    return makeError("service: pipeline launch failed: ", FirstError);
+  Counters::global().add("service.pipeline.jobs");
+  Counters::global().add("service.pipeline.hoisted_buffers",
+                         Res.HoistedBuffers);
+  return Res;
 }
 
 Expected<vgpu::LaunchProfile> Service::lastProfile(std::string_view Tenant) const {

@@ -190,6 +190,16 @@ private:
   Expected<std::uint64_t> enqueue(const std::string &Tenant,
                                   std::function<void()> Run,
                                   std::function<void()> Publish);
+  /// Queue Run (a copyable callable returning Expected<T>) as one request
+  /// of Tenant and return the ticket its outcome fulfills. Run does its own
+  /// tenant accounting; the outcome is published after the request span.
+  template <typename T, typename Body>
+  Expected<Ticket<T>> submitJob(const std::string &Tenant, Body Run);
+  /// A pipeline job's body: hoist buffer residency, run the launches in
+  /// order, release residency.
+  Expected<PipelineResult>
+  runPipeline(const std::string &Tenant,
+              const std::vector<host::LaunchRequest> &Reqs);
   /// One worker thread's body: drains jobs until shutdown.
   void workerLoop();
   /// Bind a compiled kernel's module into the host runtime (idempotent for

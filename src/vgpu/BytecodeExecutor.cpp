@@ -148,32 +148,6 @@ bool evalICmp(CmpPred Pred, std::uint64_t UA, std::uint64_t UB) {
   }
 }
 
-/// Cycle cost of a replay-eligible operation — must agree with the charge
-/// the normal execution path applies, or broadcast lanes drift.
-std::uint64_t replayCost(BCOp Op, const CostModel &C) {
-  switch (Op) {
-  case BCOp::Mul:
-    return C.Mul;
-  case BCOp::SDiv:
-  case BCOp::UDiv:
-  case BCOp::SRem:
-  case BCOp::URem:
-    return C.Div;
-  case BCOp::FAdd:
-  case BCOp::FSub:
-  case BCOp::FMul:
-  case BCOp::FCmp:
-  case BCOp::SIToFP:
-  case BCOp::FPToSI:
-  case BCOp::FPCast:
-    return C.FAlu;
-  case BCOp::FDiv:
-    return C.FDiv;
-  default:
-    return C.Alu; // int ALU, compares, casts, select, gep, intrinsics
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // Execution state
 //===----------------------------------------------------------------------===//
@@ -219,34 +193,14 @@ struct BCThreadState {
   BumpArena Local{0};
 };
 
-/// One uniform-execution log entry: either the broadcast value of a
-/// warp-uniform instruction (Ctl=false) or the direction of a conditional
-/// branch (Ctl=true, Bits=taken).
-struct LogEntry {
-  std::uint32_t PC = 0;
-  bool Ctl = false;
-  std::uint64_t Bits = 0;
-};
-
-/// Per-warp uniform log for the current aligned segment.
-struct WarpLog {
-  bool Started = false; ///< a recorder lane claimed this warp
-  std::vector<LogEntry> Entries;
-};
-
-/// Bound on a warp log; a recorder that fills it simply stops recording
-/// and later lanes fall back to per-lane execution.
-constexpr std::size_t LogCap = 1u << 20;
-
 /// Team scratch kept per worker thread and recycled across the teams it
 /// runs, as the native backend keeps its HostTeam: once a worker has run
 /// one team of a given size, setting up the next allocates nothing. Thread
-/// and warp-log entries past the current team's counts are spares that
-/// keep their capacity for larger teams. Teams never nest on a thread
-/// (native ops cannot launch), so one instance per thread suffices.
+/// entries past the current team's count are spares that keep their
+/// capacity for larger teams. Teams never nest on a thread (native ops
+/// cannot launch), so one instance per thread suffices.
 struct BCTeamScratch {
   std::vector<BCThreadState> Threads;
-  std::vector<WarpLog> Logs;
   std::vector<std::uint8_t> SharedArena;
   std::vector<std::uint64_t> NativeArgs;
   std::vector<std::uint64_t> PhiBuf; ///< parallel-copy staging buffer
@@ -287,15 +241,6 @@ public:
     const BCFunction *KernelBC = BC.functionFor(Kernel);
     CODESIGN_ASSERT(KernelBC && KernelBC->HasBody,
                     "kernel has no bytecode body");
-    const std::uint32_t WS = std::max<std::uint32_t>(Config.WarpSize, 1);
-    const std::uint32_t NumWarps = (NumThreads + WS - 1) / WS;
-    if (Scratch.Logs.size() < NumWarps)
-      Scratch.Logs.resize(NumWarps);
-    Logs = std::span<WarpLog>(Scratch.Logs.data(), NumWarps);
-    for (WarpLog &L : Logs) {
-      L.Started = false;
-      L.Entries.clear();
-    }
     if (Scratch.Threads.size() < NumThreads)
       Scratch.Threads.resize(NumThreads);
     Threads = std::span<BCThreadState>(Scratch.Threads.data(), NumThreads);
@@ -393,25 +338,12 @@ private:
   std::optional<std::string> releaseBarrier() {
     const ir::Instruction *AlignedAt = nullptr;
     std::uint64_t MaxArrival = 0;
-    // While scanning arrivals, decide whether the *next* segment starts
-    // team-aligned: every waiter sits at the same barrier instruction, at
-    // kernel-frame depth. Only then is "the n-th dynamic instruction after
-    // the release" the same program point for every lane, which is what
-    // makes warp-uniform replay meaningful.
-    bool NextAligned = true;
-    const ir::Instruction *CommonBarrier = nullptr;
     for (const BCThreadState &T : Threads) {
       if (T.Status != ThreadStatus::AtBarrier)
         continue;
       MaxArrival = std::max(MaxArrival, T.Cycles);
       if (T.BarrierInst->opcode() == ir::Opcode::AlignedBarrier)
         AlignedAt = T.BarrierInst;
-      if (!CommonBarrier)
-        CommonBarrier = T.BarrierInst;
-      else if (T.BarrierInst != CommonBarrier)
-        NextAligned = false;
-      if (T.Depth != 1)
-        NextAligned = false;
     }
     if (Config.DebugChecks && AlignedAt) {
       for (const BCThreadState &T : Threads) {
@@ -445,11 +377,6 @@ private:
       T.BarrierInst = nullptr;
     }
     ++BarrierEpoch;
-    SegmentAligned = NextAligned;
-    for (WarpLog &L : Logs) {
-      L.Started = false;
-      L.Entries.clear();
-    }
     return std::nullopt;
   }
 
@@ -748,58 +675,11 @@ private:
   std::uint64_t TeamCycles = 0;
   std::uint64_t BarrierEpoch = 1;
   std::uint64_t DummyLo = 0, DummyHi = 0;
-  // Warp-uniform execution state. A segment is the run between barrier
-  // rendezvous; it is "aligned" when every live thread starts it at the
-  // same program point in the kernel frame (true at kernel entry).
-  bool SegmentAligned = true;
-  std::span<WarpLog> Logs;
 };
 
 void BCTeamExecutor::stepThread(BCThreadState &T) {
   const CostModel &C = Config.Costs;
   const std::uint64_t MaxInst = Config.MaxDynamicInstPerThread;
-
-  // Warp-uniform participation for this thread's run of the current
-  // segment: the first lane of the warp to execute records, later lanes
-  // replay while their branch history matches the recording.
-  struct SegState {
-    bool Participating = false;
-    bool Recorder = false;
-    std::size_t Cursor = 0;
-    WarpLog *Log = nullptr;
-  } Seg;
-  if (SegmentAligned && T.Depth == 1 && T.Frames[0].BF->HasUniform) {
-    WarpLog &L = Logs[T.Tid / std::max<std::uint32_t>(Config.WarpSize, 1)];
-    Seg.Log = &L;
-    Seg.Participating = true;
-    if (!L.Started) {
-      L.Started = true;
-      L.Entries.clear();
-      Seg.Recorder = true;
-    }
-  }
-
-  // Verify (replayer) or record (recorder) one conditional-branch token.
-  const auto CtlToken = [&](std::uint32_t PC, bool Taken) {
-    if (!Seg.Participating)
-      return;
-    if (Seg.Recorder) {
-      if (Seg.Log->Entries.size() >= LogCap) {
-        Seg.Participating = false;
-        return;
-      }
-      Seg.Log->Entries.push_back({PC, true, Taken ? 1ULL : 0ULL});
-      return;
-    }
-    if (Seg.Cursor < Seg.Log->Entries.size()) {
-      const LogEntry &E = Seg.Log->Entries[Seg.Cursor];
-      if (E.Ctl && E.PC == PC && E.Bits == (Taken ? 1ULL : 0ULL)) {
-        ++Seg.Cursor;
-        return;
-      }
-    }
-    Seg.Participating = false;
-  };
 
   while (T.Status == ThreadStatus::Running) {
     BCFrame &F = T.Frames[T.Depth - 1];
@@ -849,27 +729,6 @@ void BCTeamExecutor::stepThread(BCThreadState &T) {
     }
     Cnt.DynamicInstructions++;
     Cnt.Ops[I.Cls]++;
-
-    // Broadcast fast path: a replaying lane consumes the recorder's value
-    // for a warp-uniform instruction instead of recomputing it, charging
-    // the identical cycle cost.
-    if ((I.Flags & BCFlagWarpUniform) && Seg.Participating && !Seg.Recorder) {
-      bool Hit = false;
-      if (Seg.Cursor < Seg.Log->Entries.size()) {
-        const LogEntry &E = Seg.Log->Entries[Seg.Cursor];
-        if (!E.Ctl && E.PC == F.PC) {
-          ++Seg.Cursor;
-          F.Slots[I.Dst] = E.Bits;
-          T.Cycles += replayCost(I.Op, C);
-          Hit = true;
-        }
-      }
-      if (Hit) {
-        F.PC++;
-        continue;
-      }
-      Seg.Participating = false;
-    }
 
     switch (I.Op) {
     //--- Integer arithmetic ---------------------------------------------------
@@ -1230,10 +1089,6 @@ void BCTeamExecutor::stepThread(BCThreadState &T) {
     }
     case BCOp::CondBr: {
       const bool Taken = Ref(I.A) != 0;
-      if (I.Flags & BCFlagUniformBranch)
-        CtlToken(F.PC, Taken);
-      else
-        Seg.Participating = false;
       F.PC = Taken ? I.T0 : I.T1;
       T.Cycles += C.Branch;
       continue;
@@ -1249,10 +1104,6 @@ void BCTeamExecutor::stepThread(BCThreadState &T) {
       }
       Cnt.DynamicInstructions++;
       Cnt.Ops[static_cast<std::size_t>(OpClass::ControlFlow)]++;
-      if (I.Flags & BCFlagUniformBranch)
-        CtlToken(F.PC, R);
-      else
-        Seg.Participating = false;
       F.PC = R ? I.T0 : I.T1;
       T.Cycles += C.Branch;
       continue;
@@ -1281,10 +1132,6 @@ void BCTeamExecutor::stepThread(BCThreadState &T) {
       return;
     }
     case BCOp::Call: {
-      // The uniformity oracle assumes team-uniform arguments only for the
-      // kernel itself; inside callees (and after returning) this thread no
-      // longer records or replays for the rest of the segment.
-      Seg.Participating = false;
       const BCFunction *CalleeBC = nullptr;
       const ir::Function *CalleeIR = nullptr;
       if (I.Imm > 0) {
@@ -1423,15 +1270,6 @@ void BCTeamExecutor::stepThread(BCThreadState &T) {
 #else
       CODESIGN_UNREACHABLE("handled before accounting");
 #endif
-    }
-
-    // Record the broadcast value of a warp-uniform instruction for the
-    // lanes that follow.
-    if ((I.Flags & BCFlagWarpUniform) && Seg.Participating && Seg.Recorder) {
-      if (Seg.Log->Entries.size() >= LogCap)
-        Seg.Participating = false;
-      else
-        Seg.Log->Entries.push_back({F.PC, false, F.Slots[I.Dst]});
     }
     F.PC++;
   }

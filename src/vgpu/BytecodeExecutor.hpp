@@ -5,20 +5,10 @@
 // for bit: threads run serially until they block at a team barrier, all
 // trap messages, metrics, profiles and memory effects are identical — the
 // tree walker stays available behind the "tree" execution backend as a
-// differential oracle for exactly this property.
-//
-// On top of that, the bytecode tier adds warp-batched execution of
-// provably uniform instructions: within an aligned segment (kernel entry
-// to first barrier, or between team-aligned barrier rendezvous), the first
-// lane of each warp records the results of instructions flagged
-// warp-uniform by the divergence analysis plus the direction of every
-// conditional branch; the remaining lanes replay those results as a
-// broadcast while their branch history keeps matching the recording, and
-// fall back to normal per-lane execution the moment it does not (or when
-// they enter a call, where the uniformity oracle no longer applies). A
-// replayed instruction still performs its full dynamic-instruction and
-// cycle accounting, so the observable counters cannot tell the tiers
-// apart.
+// differential oracle for exactly this property. Like the tree walker,
+// every lane executes every instruction; the speed comes from the dense
+// encoding alone (pre-resolved operands, phi trampolines, fused
+// superinstructions), not from sharing work between lanes.
 //
 //===----------------------------------------------------------------------===//
 #pragma once

@@ -30,11 +30,11 @@ public:
     // of silently running the default engine — a typo in a differential
     // harness must not quietly compare a backend to itself.
     if (const char *Env = std::getenv("CODESIGN_EXEC_BACKEND")) {
-      auto Canon = exec::canonicalBackendName(Env);
-      if (Canon) {
-        this->Config.ExecBackend = *Canon;
+      auto Known = exec::BackendRegistry::global().lookup(Env);
+      if (Known) {
+        this->Config.ExecBackend = Env;
       } else {
-        BackendError = "CODESIGN_EXEC_BACKEND: " + Canon.error().message();
+        BackendError = "CODESIGN_EXEC_BACKEND: " + Known.error().message();
         if (trace::Tracer::global().enabled())
           trace::Tracer::global().instant("vgpu", "exec.backend.unknown");
       }
@@ -142,20 +142,20 @@ public:
   /// detector (the lint passes' runtime oracle).
   void setDetectRaces(bool On) { Config.DetectRaces = On; }
 
-  /// Select the execution backend by name ("tree", "bytecode", "native" or
-  /// an accepted alias; see exec::canonicalBackendName). Overrides any
-  /// CODESIGN_EXEC_BACKEND environment setting applied at construction;
-  /// unknown names are rejected without changing the configuration.
+  /// Select the execution backend by its registry name ("tree",
+  /// "bytecode", "native"). Overrides any CODESIGN_EXEC_BACKEND environment
+  /// setting applied at construction; unknown names are rejected without
+  /// changing the configuration.
   Expected<void> setExecBackend(std::string_view Name) {
-    auto Canon = exec::canonicalBackendName(Name);
-    if (!Canon)
-      return Canon.error();
-    Config.ExecBackend = *Canon;
+    auto Known = exec::BackendRegistry::global().lookup(Name);
+    if (!Known)
+      return Known.error();
+    Config.ExecBackend = Name;
     BackendError.clear();
     return Expected<void>::success();
   }
 
-  /// The configured execution backend's canonical name.
+  /// The configured execution backend's registry name.
   [[nodiscard]] const std::string &execBackend() const {
     return Config.ExecBackend;
   }

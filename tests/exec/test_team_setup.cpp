@@ -2,8 +2,8 @@
 //
 // The bytecode and native backends recycle team state on each worker
 // thread: the native shared arena is re-zeroed only below its high-water
-// mark, and bytecode keeps thread states, frames, warp logs and arenas
-// across teams. None of that may be observable. Every case runs on tree,
+// mark, and bytecode keeps thread states, frames and arenas across teams.
+// None of that may be observable. Every case runs on tree,
 // bytecode and native, with HostThreads 1 and 4 and profiling off and on,
 // and requires:
 //   - bit-identical outputs (and launch errors) across all twelve runs;

@@ -1,7 +1,7 @@
 //===- tests/vgpu/test_bytecode.cpp - Bytecode tier vs. tree oracle --------===//
 //
-// Differential proof for the warp-batched bytecode tier: every kernel here
-// runs under both execution tiers (DeviceConfig::Tier) and must produce
+// Differential proof for the bytecode tier: every kernel here runs under
+// both execution backends (tree and bytecode) and must produce
 // bit-identical memory, metrics, profiles, and trap messages. The suite
 // doubles as the evaluator-semantics regression net for the IntOps.hpp
 // wrapping arithmetic — the cases below (INT64_MIN / -1, overflow wrap,
@@ -285,10 +285,10 @@ TEST(BytecodeTier, DivisionByZeroTrapsIdentically) {
 }
 
 TEST(BytecodeTier, UniformLoopReplaysAcrossWarp) {
-  // Every lane of every warp runs the same counted loop: the bytecode
-  // tier records the loop on the first lane and replays it on the other
-  // 31, while the tree oracle executes each lane in full. Two barriers
-  // split the kernel into three replay segments.
+  // Every lane of two 64-thread teams (two warps each) runs the same
+  // counted loop between two barriers; the bytecode tier must match the
+  // tree oracle's outputs, metrics and profile across warps and barrier
+  // rendezvous.
   TierRun R = runBothTiers(
       [](Module &M) {
         Function *K = M.createFunction("uni", Type::voidTy(),
@@ -333,8 +333,8 @@ TEST(BytecodeTier, UniformLoopReplaysAcrossWarp) {
 }
 
 TEST(BytecodeTier, DivergentBranchesFallBackPerLane) {
-  // Lanes diverge on tid parity, so the warp-uniform fast path must bail
-  // out and the slow path must still match the oracle exactly.
+  // Lanes diverge on tid parity inside every warp and merge through a phi;
+  // each lane's result must match the tree oracle exactly.
   TierRun R = runBothTiers(
       [](Module &M) {
         Function *K = M.createFunction("div", Type::voidTy(), {Type::ptr()});
@@ -436,9 +436,9 @@ TEST(BytecodeTier, AssertTrapMessageIdentical) {
 }
 
 TEST(BytecodeTier, CallsAtomicsAndIndirectDispatchMatch) {
-  // Function calls leave the warp-uniform fast path; atomics serialize;
-  // the indirect call goes through a shared-memory slot — the generic-mode
-  // state-machine shape. All of it must match the oracle.
+  // An indirect call through a shared-memory slot (the generic-mode
+  // state-machine shape) feeding an atomic that serializes across lanes
+  // and teams. All of it must match the oracle.
   TierRun R = runBothTiers(
       [](Module &M) {
         GlobalVariable *Slot = M.createGlobal("workfn", AddrSpace::Shared, 8);

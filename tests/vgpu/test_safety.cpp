@@ -4,8 +4,10 @@
 
 #include <cstring>
 
+#include "host/HostRuntime.hpp"
 #include "ir/IRBuilder.hpp"
 #include "ir/Verifier.hpp"
+#include "support/Stats.hpp"
 
 namespace codesign::vgpu {
 namespace {
@@ -165,6 +167,90 @@ TEST(Safety, LaunchValidation) {
   EXPECT_FALSE(GPU.launch(*Image, "k", Args, 1, 1).Ok)
       << "argument count mismatch";
   EXPECT_TRUE(GPU.launch(*Image, "k", {}, 1, 1).Ok);
+}
+
+/// Backend names have one owner, the exec::BackendRegistry: a name it does
+/// not list is an error that names the registered backends, and it never
+/// falls back to another engine.
+constexpr const char *Registered = "tree, bytecode, native";
+
+/// Kernel "fill": out[tid] = 7 (i64).
+void buildFillKernel(Module &M) {
+  Function *K = M.createFunction("fill", Type::voidTy(), {Type::ptr()});
+  K->addAttr(FnAttr::Kernel);
+  IRBuilder B(M);
+  B.setInsertPoint(K->createBlock("entry"));
+  Value *Off = B.mul(B.zext(B.threadId(), Type::i64()), B.i64(8));
+  B.store(B.i64(7), B.gep(K->arg(0), Off));
+  B.retVoid();
+}
+
+/// Teams run so far on any backend (exec.launch.teams.<backend>).
+std::uint64_t teamsRun() {
+  std::uint64_t N = 0;
+  for (const char *Name : {"tree", "bytecode", "native"})
+    N += Counters::global().value(std::string("exec.launch.teams.") + Name);
+  return N;
+}
+
+TEST(Safety, UnknownBackendNameRejectedBySetExecBackend) {
+  VirtualGPU GPU;
+  ASSERT_TRUE(GPU.setExecBackend("tree").hasValue());
+  auto Bad = GPU.setExecBackend("bc");
+  ASSERT_FALSE(Bad.hasValue());
+  EXPECT_NE(Bad.error().message().find("unknown execution backend 'bc'"),
+            std::string::npos)
+      << Bad.error().message();
+  EXPECT_NE(Bad.error().message().find(Registered), std::string::npos)
+      << Bad.error().message();
+  EXPECT_EQ(GPU.execBackend(), "tree") << "a rejected name changes nothing";
+  EXPECT_TRUE(GPU.backendError().empty());
+
+  ASSERT_TRUE(GPU.setExecBackend("bytecode").hasValue());
+  EXPECT_EQ(GPU.execBackend(), "bytecode");
+  Module M;
+  buildFillKernel(M);
+  auto Image = GPU.loadImage(M);
+  const DeviceAddr Out = GPU.allocate(4 * 8);
+  const std::uint64_t Args[] = {Out.Bits};
+  const LaunchResult R = GPU.launch(*Image, "fill", Args, 1, 4);
+  ASSERT_TRUE(R.Ok) << R.Error;
+  std::vector<std::uint8_t> Bytes(4 * 8);
+  GPU.read(Out, Bytes);
+  for (unsigned T = 0; T < 4; ++T) {
+    std::int64_t V = 0;
+    std::memcpy(&V, Bytes.data() + T * 8, 8);
+    EXPECT_EQ(V, 7) << "thread " << T;
+  }
+}
+
+TEST(Safety, LaunchRequestWithUnknownBackendRunsNoTeam) {
+  VirtualGPU GPU;
+  host::HostRuntime RT(GPU);
+  Module M;
+  buildFillKernel(M);
+  ASSERT_TRUE(RT.registerImage(M).hasValue());
+  std::vector<std::int64_t> Out(4, 0);
+  auto Req = host::LaunchRequest::make(
+      "fill", {host::KernelArg::buffer(Out.data(), Out.size() * 8)}, 1, 4);
+
+  Req.Backend = "bc";
+  const std::uint64_t Before = teamsRun();
+  auto Bad = RT.launch(Req);
+  const std::string Msg = Bad ? Bad->Error : Bad.error().message();
+  EXPECT_FALSE(Bad && Bad->Ok);
+  EXPECT_NE(Msg.find("unknown execution backend 'bc'"), std::string::npos)
+      << Msg;
+  EXPECT_NE(Msg.find(Registered), std::string::npos) << Msg;
+  EXPECT_EQ(teamsRun(), Before) << "no team may run";
+  EXPECT_EQ(Out, std::vector<std::int64_t>(4, 0));
+
+  Req.Backend = "bytecode";
+  auto Good = RT.launch(Req);
+  ASSERT_TRUE(Good.hasValue()) << Good.error().message();
+  ASSERT_TRUE(Good->Ok) << Good->Error;
+  EXPECT_EQ(teamsRun(), Before + 1);
+  EXPECT_EQ(Out, std::vector<std::int64_t>(4, 7));
 }
 
 } // namespace
