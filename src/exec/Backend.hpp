@@ -123,12 +123,4 @@ launch(Backend &B, const LaunchEnv &Env, const vgpu::ModuleImage &Image,
        const ir::Function *Kernel, std::span<const std::uint64_t> Args,
        std::uint32_t NumTeams, std::uint32_t NumThreads);
 
-/// Convenience: look Name up in the global registry and launch;
-/// resolution failures come back as LaunchResult errors.
-[[nodiscard]] vgpu::LaunchResult
-launch(std::string_view Name, const LaunchEnv &Env,
-       const vgpu::ModuleImage &Image, const ir::Function *Kernel,
-       std::span<const std::uint64_t> Args, std::uint32_t NumTeams,
-       std::uint32_t NumThreads);
-
 } // namespace codesign::exec

@@ -52,7 +52,7 @@ public:
                vgpu::LaunchMetrics &Metrics, vgpu::LaunchProfile *Profile,
                TeamOutcome &Out) override {
     auto &BK = static_cast<BytecodeBound &>(Bound);
-    vgpu::BCTeamResult R = vgpu::runBytecodeTeam(
+    vgpu::TeamRunOutcome R = vgpu::runBytecodeTeam(
         Env.Config, Env.GM, Env.Registry, Image, BK.BC, BK.Pools, TeamId,
         NumTeams, NumThreads, Kernel, Args, Metrics, Profile);
     Out.Err = std::move(R.Err);

@@ -218,17 +218,4 @@ LaunchResult launch(Backend &B, const LaunchEnv &Env,
   return Result;
 }
 
-LaunchResult launch(std::string_view Name, const LaunchEnv &Env,
-                    const vgpu::ModuleImage &Image, const ir::Function *Kernel,
-                    std::span<const std::uint64_t> Args,
-                    std::uint32_t NumTeams, std::uint32_t NumThreads) {
-  auto B = BackendRegistry::global().lookup(Name);
-  if (!B) {
-    LaunchResult R;
-    R.Error = B.error().message();
-    return R;
-  }
-  return launch(**B, Env, Image, Kernel, Args, NumTeams, NumThreads);
-}
-
 } // namespace codesign::exec

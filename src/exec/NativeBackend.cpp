@@ -11,7 +11,7 @@
 //
 // Each lane of a team runs the compiled kernel entry on its own ucontext
 // fiber; runTeam is the scheduler, replaying the interpreter's
-// strict-lane-order run-to-barrier schedule (TeamExecutor::run): sweep
+// strict-lane-order run-to-barrier schedule (vgpu::TeamCore::run): sweep
 // lanes in thread order, run each until it returns / traps / suspends at a
 // barrier, stop the team on the first trap, detect livelock, and release
 // rendezvous with the debug aligned-barrier identity check. Because a
@@ -49,6 +49,7 @@
 #include "exec/NativeCodegen.hpp"
 #include "ir/Printer.hpp"
 #include "support/SingleFlightCache.hpp"
+#include "vgpu/TeamCore.hpp"
 
 namespace codesign::exec {
 
@@ -88,23 +89,6 @@ std::string moduleKey(const ir::Module &M) {
   if (!M.cacheKey().empty())
     return "ck|" + M.cacheKey();
   return "tx|" + hex64(fnv1a(ir::printModule(M)));
-}
-
-/// Interpreter canonInt: canonical 64-bit pattern of an integer value.
-std::uint64_t canonIntBits(ir::Type Ty, std::uint64_t Bits) {
-  switch (Ty.kind()) {
-  case ir::TypeKind::I1:
-    return Bits & 1;
-  case ir::TypeKind::I32:
-    return static_cast<std::uint64_t>(static_cast<std::int64_t>(
-        static_cast<std::int32_t>(static_cast<std::uint32_t>(Bits))));
-  default:
-    return Bits;
-  }
-}
-
-std::uint64_t canonArg(ir::Type Ty, std::uint64_t Bits) {
-  return Ty.isInteger() ? canonIntBits(Ty, Bits) : Bits;
 }
 
 //===----------------------------------------------------------------------===//
@@ -283,17 +267,6 @@ struct LaneFiber {
   bool Started = false;
 };
 
-/// Per-access metric/profile counters of one team, kept in the worker's
-/// scratch and flushed into the team's shard once (finishTeam): the shard
-/// array is shared with other workers, so per-event increments there would
-/// ping-pong cache lines.
-struct HotCounters {
-  vgpu::GlobalAccessCounts Global;
-  std::uint64_t SharedLoads = 0, SharedStores = 0;
-  std::uint64_t SharedBytesRead = 0, SharedBytesWritten = 0;
-  std::uint64_t LocalAccesses = 0, NativeCycles = 0;
-};
-
 struct HostTeam {
   const LaunchEnv *Env = nullptr;
   vgpu::LaunchMetrics *Metrics = nullptr;
@@ -303,7 +276,8 @@ struct HostTeam {
   std::vector<abi::cg_lane> Lanes;
   std::vector<std::vector<std::uint64_t>> SlotStore;
   std::vector<std::vector<std::uint8_t>> LocalStore;
-  HotCounters Cnt;
+  /// Per-access counters, flushed into the team's shard once (finishTeam).
+  vgpu::HotCounters Cnt;
   /// Shared arena, kept across teams at the device cap. Invariant between
   /// teams: every byte at or beyond T.shared_hwm is zero.
   std::vector<std::uint8_t> Shared;
@@ -391,7 +365,7 @@ void touchShared(HostTeam &H, std::uint64_t End) {
   H.T.shared_hwm = std::max(H.T.shared_hwm, End);
 }
 
-/// Interpreter TeamExecutor::resolve, host side (used by the NativeCtx
+/// The interpreters' TeamCore::resolve, host side (used by the NativeCtx
 /// bridge; the generated code has its own identical copy).
 std::uint8_t *bridgeResolve(HostTeam &H, abi::cg_lane &L, DeviceAddr A,
                             unsigned Size) {
@@ -428,12 +402,12 @@ std::uint8_t *bridgeResolve(HostTeam &H, abi::cg_lane &L, DeviceAddr A,
   return nullptr;
 }
 
-/// Interpreter chargeAccess: cost-model cycles + metric/profile counters,
+/// TeamCore::chargeAccess: cost-model cycles + metric/profile counters,
 /// counted into the team's hot block (flushed once by finishTeam).
 void chargeAccess(HostTeam &H, abi::cg_lane &L, MemSpace S, bool IsStore,
                   std::uint64_t Count, std::uint64_t Bytes) {
   const vgpu::CostModel &C = H.Env->Config.Costs;
-  HotCounters &Cnt = H.Cnt;
+  vgpu::HotCounters &Cnt = H.Cnt;
   switch (S) {
   case MemSpace::Global:
     L.cycles += Count * C.GlobalAccess;
@@ -455,8 +429,8 @@ void chargeAccess(HostTeam &H, abi::cg_lane &L, MemSpace S, bool IsStore,
 }
 
 /// vgpu::NativeCtx over a generated lane: registered native functors see
-/// the interpreter's exact memory/charging semantics (NativeCtxImpl), so an
-/// app's native loop bodies are backend-invariant. In-bounds global
+/// the exact memory/charging semantics of TeamCore's NativeCtx, so an app's
+/// native loop bodies are backend-invariant. In-bounds global
 /// accesses never get here: NativeCtx serves them inline from the window.
 class BridgeCtx final : public vgpu::NativeCtx {
 public:
@@ -721,7 +695,7 @@ public:
     H.Metrics = &Metrics;
     H.Profile = Profile;
     H.TeamId = TeamId;
-    H.Cnt = HotCounters{};
+    H.Cnt = vgpu::HotCounters{};
     H.Lanes.resize(NumThreads);
     H.SlotStore.resize(NumThreads);
     H.LocalStore.resize(NumThreads);
@@ -729,7 +703,7 @@ public:
       auto &Slots = H.SlotStore[I];
       Slots.assign(std::max<std::uint32_t>(BK.NumSlots, 1), 0);
       for (unsigned A = 0; A < Kernel->numArgs(); ++A)
-        Slots[A] = canonArg(Kernel->arg(A)->type(), Args[A]);
+        Slots[A] = vgpu::canonValue(Kernel->arg(A)->type().kind(), Args[A]);
       // Local memory must read back zeroed, like the interpreter's fresh
       // per-team arena: clear() + the zero-filling regrowth in
       // lanLocalData re-zeroes exactly the bytes a lane actually maps.
@@ -782,7 +756,7 @@ public:
     }
     H.Entry = BK.Fn;
 
-    // The interpreter's TeamExecutor::run(), with fibers standing in for
+    // The interpreters' TeamCore::run(), with fibers standing in for
     // its explicit frame stacks: sweep lanes in strict thread order, run
     // each until it blocks, stop the team on the first trap, then release
     // the rendezvous (releaseBarrier's exact debug checks, wait-cycle
@@ -858,20 +832,7 @@ private:
   /// interpreter's exact wording) and the team cycle count.
   static void finishTeam(const HostTeam &H, std::uint32_t TeamId,
                          TeamOutcome &Out) {
-    const HotCounters &C = H.Cnt;
-    vgpu::LaunchMetrics &M = *H.Metrics;
-    M.GlobalLoads += C.Global.Loads;
-    M.GlobalStores += C.Global.Stores;
-    M.SharedLoads += C.SharedLoads;
-    M.SharedStores += C.SharedStores;
-    M.LocalAccesses += C.LocalAccesses;
-    M.NativeCycles += C.NativeCycles;
-    if (H.Profile) {
-      H.Profile->GlobalBytesRead += C.Global.BytesRead;
-      H.Profile->GlobalBytesWritten += C.Global.BytesWritten;
-      H.Profile->SharedBytesRead += C.SharedBytesRead;
-      H.Profile->SharedBytesWritten += C.SharedBytesWritten;
-    }
+    H.Cnt.flush(*H.Metrics, H.Profile);
     if (H.T.trapped) {
       if (H.T.team_trap_msg) {
         Out.Err = "team " + std::to_string(TeamId) + ": " +

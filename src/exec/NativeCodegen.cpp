@@ -38,42 +38,13 @@
 #include "NativeEmbedded.hpp"
 #include "ir/Function.hpp"
 #include "ir/Instruction.hpp"
+#include "vgpu/TeamCore.hpp"
 
 namespace codesign::exec {
 
 namespace {
 
 using namespace ir;
-
-//===----------------------------------------------------------------------===//
-// Compile-time mirrors of the interpreter's value encoding
-//===----------------------------------------------------------------------===//
-
-/// canonInt (Interpreter.cpp): the canonical 64-bit pattern of an integer.
-std::uint64_t canonIntBits(Type Ty, std::uint64_t Bits) {
-  switch (Ty.kind()) {
-  case TypeKind::I1:
-    return Bits & 1;
-  case TypeKind::I32:
-    return static_cast<std::uint64_t>(static_cast<std::int64_t>(
-        static_cast<std::int32_t>(static_cast<std::uint32_t>(Bits))));
-  default:
-    return Bits;
-  }
-}
-
-/// encodeF (Interpreter.cpp): f32 constants store their 4 raw bytes.
-std::uint64_t encodeFPBits(Type Ty, double D) {
-  if (Ty.kind() == TypeKind::F32) {
-    const float F = static_cast<float>(D);
-    std::uint32_t W = 0;
-    std::memcpy(&W, &F, sizeof(W));
-    return W;
-  }
-  std::uint64_t B = 0;
-  std::memcpy(&B, &D, sizeof(B));
-  return B;
-}
 
 std::string hexU64(std::uint64_t V) {
   char Buf[32];
@@ -181,19 +152,19 @@ private:
   }
 
   /// Expression for a value's canonical 64-bit representation (mirrors
-  /// TeamExecutor::operandValue).
+  /// the tree interpreter's operandValue).
   [[nodiscard]] std::string val(const Value *V) {
     switch (V->kind()) {
     case ValueKind::Instruction:
     case ValueKind::Argument:
       return Arr + "[" + std::to_string(Slots.at(V)) + "]";
     case ValueKind::ConstantInt:
-      return hexU64(canonIntBits(
-          V->type(),
+      return hexU64(vgpu::canonInt(
+          V->type().kind(),
           static_cast<std::uint64_t>(ir::cast<ir::ConstantInt>(V)->value())));
     case ValueKind::ConstantFP:
-      return hexU64(encodeFPBits(V->type(),
-                                 ir::cast<ir::ConstantFP>(V)->value()));
+      return hexU64(vgpu::encodeF(V->type().kind(),
+                                  ir::cast<ir::ConstantFP>(V)->value()));
     case ValueKind::ConstantNull:
     case ValueKind::Undef:
       return "0ULL";

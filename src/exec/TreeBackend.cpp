@@ -40,9 +40,9 @@ public:
                           Profile);
     Out.Err = std::move(R.Err);
     Out.Cycles = R.Cycles;
-    // The interpreter builds a fresh, fully initialized arena per team.
-    Out.SharedZeroedBytes =
-        std::max<std::uint64_t>(Image.sharedStaticSize(), 1);
+    // TeamCore rewrites the static segment at team start; bytes beyond it
+    // are zero-filled only as the team grows into them.
+    Out.SharedZeroedBytes = Image.sharedStaticSize();
   }
 };
 

@@ -182,6 +182,13 @@ Expected<LaunchResult> HostRuntime::launch(const LaunchRequest &Request) {
     std::atomic<std::uint32_t> &Count;
     ~Unpin() { Count.fetch_sub(1); }
   } Unpin{*Entry.InFlight};
+  // Resolve the backend before any buffer is mapped: a launch that cannot
+  // run must not pay its to-device copies.
+  if (auto Backend = Device.backendFor(Request.Backend); !Backend) {
+    LaunchResult R;
+    R.Error = Backend.error().message();
+    return R;
+  }
   // Per-launch transfer attribution: everything the buffer auto-mapping
   // below moves lands in Scope and, after the launch, in the profile.
   TransferStats Scope;

@@ -1,11 +1,11 @@
 //===- vgpu/Bytecode.cpp - One-shot lowering of IR to dense bytecode -------===//
 #include "vgpu/Bytecode.hpp"
 
-#include <cstring>
 #include <map>
 
 #include "ir/BasicBlock.hpp"
 #include "vgpu/Interpreter.hpp"
+#include "vgpu/TeamCore.hpp"
 
 namespace codesign::vgpu {
 
@@ -14,112 +14,11 @@ using ir::Function;
 using ir::GlobalVariable;
 using ir::Instruction;
 using ir::Opcode;
-using ir::Type;
 using ir::TypeKind;
 using ir::Value;
 using ir::ValueKind;
 
 namespace {
-
-/// Canonical constant encodings — must match the interpreter's value
-/// encoding exactly (Interpreter.cpp): i1 masked, i32 sign-extended, f32
-/// bits in the low word.
-std::uint64_t canonIntBits(Type Ty, std::uint64_t Bits) {
-  switch (Ty.kind()) {
-  case TypeKind::I1:
-    return Bits & 1;
-  case TypeKind::I32:
-    return static_cast<std::uint64_t>(
-        static_cast<std::int64_t>(static_cast<std::int32_t>(Bits)));
-  default:
-    return Bits;
-  }
-}
-
-std::uint64_t encodeFBits(Type Ty, double V) {
-  if (Ty.kind() == TypeKind::F32) {
-    const float F = static_cast<float>(V);
-    std::uint32_t B32;
-    std::memcpy(&B32, &F, sizeof(F));
-    return B32;
-  }
-  std::uint64_t B;
-  std::memcpy(&B, &V, sizeof(B));
-  return B;
-}
-
-/// Same op-class mapping the tree interpreter applies per dynamic
-/// instruction; baked into each BCInst so the profile histograms of the two
-/// tiers are bit-identical.
-OpClass classifyOpcode(Opcode Op) {
-  switch (Op) {
-  case Opcode::Add:
-  case Opcode::Sub:
-  case Opcode::And:
-  case Opcode::Or:
-  case Opcode::Xor:
-  case Opcode::Shl:
-  case Opcode::LShr:
-  case Opcode::AShr:
-  case Opcode::ICmp:
-  case Opcode::Select:
-  case Opcode::ZExt:
-  case Opcode::SExt:
-  case Opcode::Trunc:
-  case Opcode::PtrToInt:
-  case Opcode::IntToPtr:
-    return OpClass::IntAlu;
-  case Opcode::Mul:
-  case Opcode::SDiv:
-  case Opcode::UDiv:
-  case Opcode::SRem:
-  case Opcode::URem:
-    return OpClass::IntMulDiv;
-  case Opcode::FAdd:
-  case Opcode::FSub:
-  case Opcode::FMul:
-  case Opcode::FDiv:
-  case Opcode::FCmp:
-  case Opcode::SIToFP:
-  case Opcode::FPToSI:
-  case Opcode::FPCast:
-    return OpClass::Float;
-  case Opcode::Alloca:
-  case Opcode::Load:
-  case Opcode::Store:
-  case Opcode::Gep:
-  case Opcode::Malloc:
-  case Opcode::Free:
-    return OpClass::Memory;
-  case Opcode::AtomicRMW:
-  case Opcode::CmpXchg:
-    return OpClass::Atomic;
-  case Opcode::Br:
-  case Opcode::CondBr:
-  case Opcode::Ret:
-  case Opcode::Unreachable:
-  case Opcode::Phi:
-    return OpClass::ControlFlow;
-  case Opcode::Call:
-    return OpClass::Call;
-  case Opcode::ThreadId:
-  case Opcode::BlockId:
-  case Opcode::BlockDim:
-  case Opcode::GridDim:
-  case Opcode::WarpSize:
-    return OpClass::Intrinsic;
-  case Opcode::Barrier:
-  case Opcode::AlignedBarrier:
-    return OpClass::Sync;
-  case Opcode::Assume:
-  case Opcode::AssertFail:
-  case Opcode::Trap:
-    return OpClass::Meta;
-  case Opcode::NativeOp:
-    return OpClass::Native;
-  }
-  CODESIGN_UNREACHABLE("unknown opcode");
-}
 
 /// Direct opcode translation for the 1:1 part of the instruction set.
 BCOp directOp(Opcode Op) {
@@ -233,10 +132,11 @@ private:
     case ValueKind::Argument:
       return Slots.at(V);
     case ValueKind::ConstantInt:
-      return lit(canonIntBits(V->type(),
-                              ir::cast<ir::ConstantInt>(V)->zext()));
+      return lit(canonInt(V->type().kind(),
+                          ir::cast<ir::ConstantInt>(V)->zext()));
     case ValueKind::ConstantFP:
-      return lit(encodeFBits(V->type(), ir::cast<ir::ConstantFP>(V)->value()));
+      return lit(
+          encodeF(V->type().kind(), ir::cast<ir::ConstantFP>(V)->value()));
     case ValueKind::ConstantNull:
     case ValueKind::Undef:
       return lit(0);

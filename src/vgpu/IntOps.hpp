@@ -1,7 +1,7 @@
 //===- vgpu/IntOps.hpp - Well-defined integer semantics for the evaluators -===//
 //
 // One source of truth for the arithmetic the execution tiers perform on the
-// canonical 64-bit value encoding (see Interpreter.cpp). Everything here is
+// canonical 64-bit value encoding (see TeamCore.hpp). Everything here is
 // defined behaviour in C++: add/sub/mul wrap modulo 2^64 (computed on
 // unsigned operands, so signed overflow never happens at the language
 // level), INT64_MIN / -1 wraps to INT64_MIN (remainder 0) instead of

@@ -142,16 +142,17 @@ struct LaunchResult {
   LaunchProfile Profile;  ///< populated when Ok and DeviceConfig::CollectProfile
 };
 
-/// Outcome of one team's execution under the tree interpreter (the
-/// per-team entry point the exec::Backend architecture fans out over;
-/// launch orchestration lives in exec/LaunchEngine.cpp).
+/// Outcome of one team's execution under an interpreting engine, tree or
+/// bytecode (the per-team entry points the exec::Backend architecture
+/// fans out over; launch orchestration lives in exec/LaunchEngine.cpp).
 struct TeamRunOutcome {
   std::optional<std::string> Err; ///< trap/deadlock message, empty = clean
   std::uint64_t Cycles = 0;       ///< the team's modeled wall time
 };
 
 /// Execute team TeamId of a launch by walking the IR instruction tree
-/// directly (the original engine, kept as the semantic reference). Teams
+/// directly (the original engine, kept as the reference for instruction
+/// dispatch; team semantics are the shared vgpu/TeamCore.hpp). Teams
 /// share no mutable state except global memory reached via atomics, so
 /// distinct teams may run concurrently; Metrics/Profile are this team's
 /// private shards.

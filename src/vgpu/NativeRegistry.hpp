@@ -27,6 +27,17 @@ struct GlobalAccessCounts {
   std::uint64_t BytesRead = 0, BytesWritten = 0;
 };
 
+/// An engine's inline global-memory window for native bodies. A zero Cap
+/// (the default) disables the inline path; otherwise every pointer must
+/// stay valid for the lifetime of the NativeCtx that holds it.
+struct GlobalWindow {
+  std::uint8_t *Base = nullptr;         ///< the global arena
+  std::uint64_t Cap = 0;                ///< its capacity in bytes
+  std::uint64_t AccessCost = 0;         ///< CostModel::GlobalAccess
+  std::uint64_t *Cycles = nullptr;      ///< the executing lane's clock
+  GlobalAccessCounts *Counts = nullptr; ///< the team's hot counters
+};
+
 /// Execution-side view handed to a native functor: typed argument access,
 /// device memory access (auto-charged to the cost model), explicit compute
 /// cycle charging, and the result slot.
@@ -126,16 +137,8 @@ public:
   [[nodiscard]] virtual std::uint32_t teamId() const = 0;
 
 protected:
-  /// The engine's inline global-memory window. A zero Cap (the default)
-  /// disables the inline path; otherwise every pointer must stay valid
-  /// for the context's lifetime.
-  struct GlobalWindow {
-    std::uint8_t *Base = nullptr;     ///< the global arena
-    std::uint64_t Cap = 0;            ///< its capacity in bytes
-    std::uint64_t AccessCost = 0;     ///< CostModel::GlobalAccess
-    std::uint64_t *Cycles = nullptr;  ///< the executing lane's clock
-    GlobalAccessCounts *Counts = nullptr; ///< the team's hot counters
-  } Window;
+  /// The engine's inline global-memory window.
+  GlobalWindow Window;
 
   /// Block hooks for accesses the window does not cover. The defaults
   /// issue Count scalar accesses; an engine may copy en bloc as long as

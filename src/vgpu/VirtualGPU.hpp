@@ -106,16 +106,27 @@ public:
                       std::span<const std::uint64_t> Args,
                       std::uint32_t NumTeams, std::uint32_t NumThreads,
                       std::string_view BackendOverride = {}) {
-    if (!BackendError.empty()) {
+    auto B = backendFor(BackendOverride);
+    if (!B) {
       LaunchResult R;
-      R.Error = BackendError;
+      R.Error = B.error().message();
       return R;
     }
-    const std::string_view Name =
-        BackendOverride.empty() ? std::string_view(Config.ExecBackend)
-                                : BackendOverride;
-    return exec::launch(Name, {Config, GM, Registry}, Image, Kernel, Args,
+    return exec::launch(**B, {Config, GM, Registry}, Image, Kernel, Args,
                         NumTeams, NumThreads);
+  }
+
+  /// The backend a launch with BackendOverride runs on: an error while a
+  /// rejected CODESIGN_EXEC_BACKEND is latched (backendError()), else the
+  /// registry entry named by BackendOverride, or by the configured backend
+  /// when the override is empty.
+  [[nodiscard]] Expected<exec::Backend *>
+  backendFor(std::string_view BackendOverride) const {
+    if (!BackendError.empty())
+      return Error(BackendError);
+    return exec::BackendRegistry::global().lookup(
+        BackendOverride.empty() ? std::string_view(Config.ExecBackend)
+                                : BackendOverride);
   }
 
   /// Launch a kernel by name.

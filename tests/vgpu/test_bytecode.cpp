@@ -1,8 +1,11 @@
 //===- tests/vgpu/test_bytecode.cpp - Bytecode tier vs. tree oracle --------===//
 //
 // Differential proof for the bytecode tier: every kernel here runs under
-// both execution backends (tree and bytecode) and must produce
-// bit-identical memory, metrics, profiles, and trap messages. The suite
+// both interpreting backends (tree and bytecode) and must produce
+// bit-identical memory, metrics, profiles, and trap messages. The trap
+// verdicts of the shared team core (TeamCore.hpp) also run on the native
+// backend, whose resolve and schedule are its own, and must carry the
+// same error text there. The suite
 // doubles as the evaluator-semantics regression net for the IntOps.hpp
 // wrapping arithmetic — the cases below (INT64_MIN / -1, overflow wrap,
 // shifts at the type width, i32 canonicalization, float-to-int saturation)
@@ -22,6 +25,7 @@
 
 #include "ir/IRBuilder.hpp"
 #include "ir/Verifier.hpp"
+#include "rt/RuntimeABI.hpp"
 
 namespace codesign::vgpu {
 namespace {
@@ -120,6 +124,19 @@ TierRun runBothTiers(const std::function<void(Module &)> &Build,
   TierRun BC = runTier("bytecode", Build, Kernel, BufBytes, ExtraArgs, Teams,
                        Threads, DetectRaces);
   expectTierIdentical(Tree, BC);
+  return BC;
+}
+
+/// Run under tree and bytecode (required identical, as runBothTiers) and
+/// under native, which must reach the same verdict with the same text.
+TierRun runThreeTiers(const std::function<void(Module &)> &Build,
+                      const std::string &Kernel, std::uint64_t BufBytes,
+                      std::uint32_t Threads) {
+  TierRun BC = runBothTiers(Build, Kernel, BufBytes, {}, /*Teams=*/1, Threads);
+  TierRun Native =
+      runTier("native", Build, Kernel, BufBytes, {}, /*Teams=*/1, Threads);
+  EXPECT_EQ(Native.LR.Ok, BC.LR.Ok);
+  EXPECT_EQ(Native.LR.Error, BC.LR.Error);
   return BC;
 }
 
@@ -416,6 +433,67 @@ TEST(BytecodeTier, DivergentAlignedBarrierVerdictIdentical) {
       << R.LR.Error;
 }
 
+TEST(BytecodeTier, BarrierOpensNewRaceEpoch) {
+  // The broadcast idiom: thread 0 writes, a barrier, every thread reads.
+  // The barrier orders the write before the reads, so the detector must
+  // stay quiet on both tiers.
+  TierRun R = runBothTiers(
+      [](Module &M) {
+        GlobalVariable *Cell = M.createGlobal("cell", AddrSpace::Shared, 8);
+        Function *K = M.createFunction("bcast", Type::voidTy(), {Type::ptr()});
+        K->addAttr(FnAttr::Kernel);
+        BasicBlock *Entry = K->createBlock("entry");
+        BasicBlock *Write = K->createBlock("write");
+        BasicBlock *Join = K->createBlock("join");
+        IRBuilder B(M);
+        B.setInsertPoint(Entry);
+        Value *Tid = B.threadId();
+        B.condBr(B.icmpEQ(Tid, B.i32(0)), Write, Join);
+        B.setInsertPoint(Write);
+        B.store(B.i64(42), Cell);
+        B.br(Join);
+        B.setInsertPoint(Join);
+        B.barrier();
+        Value *Slot = B.gep(K->arg(0), B.mul(B.zext(Tid, Type::i64()),
+                                             B.i64(8)));
+        B.store(B.load(Type::i64(), Cell), Slot);
+        B.retVoid();
+        ASSERT_TRUE(verifyModule(M).empty());
+      },
+      "bcast", 4 * 8, {}, /*Teams=*/1, /*Threads=*/4, /*DetectRaces=*/true);
+  ASSERT_TRUE(R.LR.Ok) << R.LR.Error;
+  for (std::size_t T = 0; T < 4; ++T)
+    EXPECT_EQ(loadI64(R, T), 42) << "thread " << T;
+}
+
+TEST(BytecodeTier, ConditionalWriteDummyExemptFromRaceDetection) {
+  // Every thread stores to the conditional-write dummy (paper Figure 7b):
+  // by design these collisions are benign, and the detector exempts the
+  // dummy's bytes. The same stores to any other shared cell race.
+  const auto Build = [](std::string_view Target) {
+    return [Target](Module &M) {
+      GlobalVariable *Cell = M.createGlobal(std::string(Target),
+                                            AddrSpace::Shared, 8);
+      Function *K = M.createFunction("sink", Type::voidTy(), {Type::ptr()});
+      K->addAttr(FnAttr::Kernel);
+      IRBuilder B(M);
+      B.setInsertPoint(K->createBlock("entry"));
+      B.store(B.zext(B.threadId(), Type::i64()), Cell);
+      B.retVoid();
+      ASSERT_TRUE(verifyModule(M).empty());
+    };
+  };
+  TierRun Dummy = runBothTiers(Build(rt::DummyName), "sink", 8, {},
+                               /*Teams=*/1, /*Threads=*/4,
+                               /*DetectRaces=*/true);
+  EXPECT_TRUE(Dummy.LR.Ok) << Dummy.LR.Error;
+  TierRun Plain = runBothTiers(Build("cell"), "sink", 8, {}, /*Teams=*/1,
+                               /*Threads=*/4, /*DetectRaces=*/true);
+  EXPECT_FALSE(Plain.LR.Ok);
+  EXPECT_NE(Plain.LR.Error.find("shared-memory race"), std::string::npos)
+      << Plain.LR.Error;
+}
+
 TEST(BytecodeTier, AssertTrapMessageIdentical) {
   TierRun R = runBothTiers(
       [](Module &M) {
@@ -474,6 +552,120 @@ TEST(BytecodeTier, CallsAtomicsAndIndirectDispatchMatch) {
   for (std::int64_t T = 0; T < 32; ++T)
     Want += T * T;
   EXPECT_EQ(loadI64(R, 0), 2 * Want);
+}
+
+TEST(BytecodeTier, UnalignedThreadsAtAlignedBarrierVerdictIdentical) {
+  // Thread 0 and thread 1 reach two different aligned barriers. With
+  // DebugChecks on (the DeviceConfig default) the rendezvous must reject
+  // them, with one text on every engine.
+  ASSERT_TRUE(DeviceConfig{}.DebugChecks);
+  TierRun R = runThreeTiers(
+      [](Module &M) {
+        Function *K = M.createFunction("split", Type::voidTy(), {Type::ptr()});
+        K->addAttr(FnAttr::Kernel);
+        BasicBlock *Entry = K->createBlock("entry");
+        BasicBlock *Left = K->createBlock("left");
+        BasicBlock *Right = K->createBlock("right");
+        BasicBlock *Done = K->createBlock("done");
+        IRBuilder B(M);
+        B.setInsertPoint(Entry);
+        B.condBr(B.icmpEQ(B.threadId(), B.i32(0)), Left, Right);
+        B.setInsertPoint(Left);
+        B.alignedBarrier(1);
+        B.br(Done);
+        B.setInsertPoint(Right);
+        B.alignedBarrier(2);
+        B.br(Done);
+        B.setInsertPoint(Done);
+        B.retVoid();
+        ASSERT_TRUE(verifyModule(M).empty());
+      },
+      "split", 8, /*Threads=*/2);
+  EXPECT_FALSE(R.LR.Ok);
+  EXPECT_EQ(R.LR.Error,
+            "team 0: aligned barrier reached with unaligned threads");
+}
+
+TEST(BytecodeTier, FunctionAddressDereferenceVerdictIdentical) {
+  TierRun R = runThreeTiers(
+      [](Module &M) {
+        Function *Fn = M.createFunction("fn", Type::i64(), {});
+        Fn->addAttr(FnAttr::Internal);
+        IRBuilder B(M);
+        B.setInsertPoint(Fn->createBlock("entry"));
+        B.ret(B.i64(1));
+        Function *K = M.createFunction("deref", Type::voidTy(), {Type::ptr()});
+        K->addAttr(FnAttr::Kernel);
+        B.setInsertPoint(K->createBlock("entry"));
+        B.store(B.load(Type::i64(), Fn->asValue()), K->arg(0));
+        B.retVoid();
+        ASSERT_TRUE(verifyModule(M).empty());
+      },
+      "deref", 8, /*Threads=*/2);
+  EXPECT_FALSE(R.LR.Ok);
+  EXPECT_EQ(R.LR.Error,
+            "thread 0 of team 0: dereference of a function address");
+}
+
+TEST(BytecodeTier, SharedOutOfBoundsVerdictIdentical) {
+  // The last 8 bytes below SharedMemPerTeam are addressable; a store that
+  // ends 4 bytes past the cap traps.
+  const std::int64_t Cap =
+      static_cast<std::int64_t>(DeviceConfig{}.SharedMemPerTeam);
+  TierRun R = runThreeTiers(
+      [Cap](Module &M) {
+        GlobalVariable *Cell = M.createGlobal("cell", AddrSpace::Shared, 8);
+        Function *K = M.createFunction("oob", Type::voidTy(), {Type::ptr()});
+        K->addAttr(FnAttr::Kernel);
+        IRBuilder B(M);
+        B.setInsertPoint(K->createBlock("entry"));
+        Value *Last = B.gep(Cell, B.i64(Cap - 8));
+        B.store(B.i64(5), Last);
+        B.store(B.load(Type::i64(), Last), K->arg(0));
+        B.store(B.i64(6), B.gep(Cell, B.i64(Cap - 4)));
+        B.retVoid();
+        ASSERT_TRUE(verifyModule(M).empty());
+      },
+      "oob", 8, /*Threads=*/1);
+  EXPECT_FALSE(R.LR.Ok);
+  EXPECT_EQ(R.LR.Error,
+            "thread 0 of team 0: shared memory access out of bounds");
+}
+
+TEST(BytecodeTier, CrossThreadLocalAccessVerdictIdentical) {
+  // Thread 0 publishes a pointer to its local variable through shared
+  // memory; after the barrier every thread dereferences it. Thread 0's own
+  // access is legal, thread 1's is the first cross-thread one.
+  TierRun R = runThreeTiers(
+      [](Module &M) {
+        GlobalVariable *Slot = M.createGlobal("escape", AddrSpace::Shared, 8);
+        Function *K = M.createFunction("leak", Type::voidTy(), {Type::ptr()});
+        K->addAttr(FnAttr::Kernel);
+        BasicBlock *Entry = K->createBlock("entry");
+        BasicBlock *Pub = K->createBlock("pub");
+        BasicBlock *Join = K->createBlock("join");
+        IRBuilder B(M);
+        B.setInsertPoint(Entry);
+        Value *Tid = B.threadId();
+        Value *Mine = B.allocaBytes(8, "local_var");
+        B.store(B.i64(7), Mine);
+        B.condBr(B.icmpEQ(Tid, B.i32(0)), Pub, Join);
+        B.setInsertPoint(Pub);
+        B.store(Mine, Slot);
+        B.br(Join);
+        B.setInsertPoint(Join);
+        B.barrier();
+        Value *Stolen = B.load(Type::ptr(), Slot);
+        B.store(B.load(Type::i64(), Stolen), K->arg(0));
+        B.retVoid();
+        ASSERT_TRUE(verifyModule(M).empty());
+      },
+      "leak", 8, /*Threads=*/4);
+  EXPECT_FALSE(R.LR.Ok);
+  EXPECT_EQ(R.LR.Error,
+            "thread 1 of team 0: cross-thread access to local memory "
+            "(thread 1 dereferenced a pointer owned by thread 0); such "
+            "variables must be globalized");
 }
 
 } // namespace

@@ -236,6 +236,7 @@ TEST(Safety, LaunchRequestWithUnknownBackendRunsNoTeam) {
 
   Req.Backend = "bc";
   const std::uint64_t Before = teamsRun();
+  const host::TransferStats Moved = RT.transfers().stats();
   auto Bad = RT.launch(Req);
   const std::string Msg = Bad ? Bad->Error : Bad.error().message();
   EXPECT_FALSE(Bad && Bad->Ok);
@@ -244,6 +245,13 @@ TEST(Safety, LaunchRequestWithUnknownBackendRunsNoTeam) {
   EXPECT_NE(Msg.find(Registered), std::string::npos) << Msg;
   EXPECT_EQ(teamsRun(), Before) << "no team may run";
   EXPECT_EQ(Out, std::vector<std::int64_t>(4, 0));
+  // The backend is resolved before any buffer is mapped: a launch that
+  // cannot run moves no bytes and leaves no mapping behind.
+  const host::TransferStats After = RT.transfers().stats();
+  EXPECT_EQ(After.totalTransfers(), Moved.totalTransfers());
+  EXPECT_EQ(After.totalBytes(), Moved.totalBytes());
+  EXPECT_EQ(After.ModeledCycles, Moved.ModeledCycles);
+  EXPECT_EQ(RT.numMappings(), 0u);
 
   Req.Backend = "bytecode";
   auto Good = RT.launch(Req);
