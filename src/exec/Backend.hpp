@@ -22,7 +22,6 @@
 
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -41,15 +40,9 @@ struct LaunchEnv {
   const vgpu::NativeRegistry &Registry;
 };
 
-/// Outcome of one team's execution. Metrics/profile accumulate into the
-/// per-team shards the launch engine hands to runTeam.
-struct TeamOutcome {
-  std::optional<std::string> Err; ///< trap/deadlock message, empty = clean
-  std::uint64_t Cycles = 0;       ///< the team's modeled wall time
-  /// Shared-memory bytes the backend cleared or re-initialized at team
-  /// start (exec.team.shared_zeroed_bytes.<backend>).
-  std::uint64_t SharedZeroedBytes = 0;
-};
+/// Outcome of one team's execution: the team core's. Metrics/profile
+/// accumulate into the per-team shards the launch engine hands to runTeam.
+using TeamOutcome = vgpu::TeamRunOutcome;
 
 /// A kernel bound by a backend for execution: whatever per-(image, kernel)
 /// state runTeam needs (resolved constant pools, dlopen'd symbols, ...).

@@ -52,14 +52,9 @@ public:
                vgpu::LaunchMetrics &Metrics, vgpu::LaunchProfile *Profile,
                TeamOutcome &Out) override {
     auto &BK = static_cast<BytecodeBound &>(Bound);
-    vgpu::TeamRunOutcome R = vgpu::runBytecodeTeam(
-        Env.Config, Env.GM, Env.Registry, Image, BK.BC, BK.Pools, TeamId,
-        NumTeams, NumThreads, Kernel, Args, Metrics, Profile);
-    Out.Err = std::move(R.Err);
-    Out.Cycles = R.Cycles;
-    // The executor rewrites the static segment at team start; bytes beyond
-    // it are zero-filled only as the team grows into them.
-    Out.SharedZeroedBytes = Image.sharedStaticSize();
+    Out = vgpu::runBytecodeTeam(Env.Config, Env.GM, Env.Registry, Image,
+                                BK.BC, BK.Pools, TeamId, NumTeams, NumThreads,
+                                Kernel, Args, Metrics, Profile);
   }
 };
 

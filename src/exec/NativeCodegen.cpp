@@ -10,13 +10,13 @@
 // plain uint64 slots, control flow is gotos, and only traps, native ops,
 // device mallocs and barrier suspension call back into the host.
 //
-// Lanes run on host-side fibers (NativeBackend.cpp's team scheduler): a
-// barrier — in the kernel entry or any callee, including ones reached
-// through the state machine's indirect work-function calls — records its
-// site and suspends via cg_team::host_suspend, and the scheduler replays
-// the interpreter's strict-lane-order run-to-barrier schedule around the
-// suspended call stacks. Barrier site ids are unique across the module so
-// they stand in for the interpreter's BarrierInst pointer identity.
+// Lanes run on host-side fibers under the team core every engine shares
+// (vgpu::TeamCore, driven by NativeBackend.cpp): a barrier — in the kernel
+// entry or any callee, including ones reached through the state machine's
+// indirect work-function calls — records its site and suspends via
+// cg_team::host_suspend, and the core's run-to-barrier loop resumes the
+// suspended call stacks. Barrier site ids are unique across the module, so
+// they serve as the core's barrier ids.
 //
 // Layout of a generated TU:
 //   includes
@@ -123,7 +123,6 @@ private:
   std::unordered_map<const Instruction *, std::uint32_t> BarrierSites;
   std::uint32_t NextSite = 0; ///< module-global barrier site counter
   std::uint32_t NumSlots = 0;
-  bool FnHasBarriers = false;
   bool KernelMode = false;
   std::string Arr;     ///< "R" (lane slots) or "S" (callee-local array)
   std::string RetDflt; ///< "return;" or "return 0ULL;"
@@ -282,10 +281,10 @@ static inline std::uint64_t cg_encf64(double D) {
   return B;
 }
 
-// Interpreter resolve(): device address -> host pointer, trapping with the
-// interpreter's exact messages. Local resolution is always against the
-// executing lane's arena; growth beyond the mapped prefix goes through the
-// host (which also enforces the per-thread capacity).
+// TeamCore::resolve(): device address -> host pointer, trapping with the
+// core's exact messages. Local resolution is always against the executing
+// lane's arena; growth beyond the mapped prefix goes through the host
+// (which also enforces the per-thread capacity).
 static std::uint8_t *cg_resolve(cg_lane *L, std::uint64_t A,
                                 std::uint64_t Size) {
   cg_team *const T = L->team;
@@ -302,18 +301,18 @@ static std::uint8_t *cg_resolve(cg_lane *L, std::uint64_t A,
       cg_trap(L, "shared memory access out of bounds");
       return nullptr;
     }
-    if (Off + Size > T->shared_hwm)
-      T->shared_hwm = Off + Size;
+    if (Off + Size > *T->shared_hwm)
+      *T->shared_hwm = Off + Size;
     return T->shared_base + Off;
   case 3: { // local
     const std::uint64_t Owner = (A >> 46) & 0xffffULL;
     if (T->debug_checks && Owner != L->tid) {
-      std::snprintf(L->msg_buf, sizeof(L->msg_buf),
+      std::snprintf(T->msg_buf, sizeof(T->msg_buf),
                     "cross-thread access to local memory (thread %u "
                     "dereferenced a pointer owned by thread %llu); such "
                     "variables must be globalized",
                     L->tid, static_cast<unsigned long long>(Owner));
-      L->trap_msg = L->msg_buf;
+      L->trap_msg = T->msg_buf;
       L->status = 2u;
       return nullptr;
     }
@@ -379,7 +378,6 @@ static std::uint64_t cg_atomic_cas(std::uint8_t *P, std::uint64_t Expected,
     for (unsigned A = 0; A < Fn.numArgs(); ++A)
       Slots[Fn.arg(A)] = NumSlots++;
     std::uint32_t BlockId = 0;
-    FnHasBarriers = false;
     for (const auto &BB : Fn.blocks()) {
       BlockIds[BB.get()] = BlockId++;
       for (std::size_t Idx = 0; Idx < BB->size(); ++Idx) {
@@ -387,10 +385,8 @@ static std::uint64_t cg_atomic_cas(std::uint8_t *P, std::uint64_t Expected,
         if (!I->type().isVoid())
           Slots[I] = NumSlots++;
         if (I->opcode() == Opcode::Barrier ||
-            I->opcode() == Opcode::AlignedBarrier) {
+            I->opcode() == Opcode::AlignedBarrier)
           BarrierSites[I] = ++NextSite; // unique across the whole module
-          FnHasBarriers = true;
-        }
       }
     }
   }
@@ -406,7 +402,7 @@ static std::uint64_t cg_atomic_cas(std::uint8_t *P, std::uint64_t Expected,
     if (KernelMode) {
       Out.Kernels[Fn.name()] = {"codesign_native_kernel_" +
                                     std::to_string(Idx),
-                                NumSlots, FnHasBarriers};
+                                NumSlots};
       S += "static void cg_f" + std::to_string(Idx) + "(cg_lane *const L) {\n";
       line("cg_team *const T = L->team; (void)T;");
       line("std::uint64_t *const R = L->slots; (void)R;");
@@ -694,16 +690,13 @@ void Emitter::emitNativeOp(const Instruction *I) {
   } else {
     line("  const std::uint64_t *cg_na = nullptr;");
   }
-  line("  std::uint32_t cg_has = 0u; (void)cg_has;");
   line("  const std::uint64_t cg_v = T->host_native_op(T->host, L, " +
-       std::to_string(I->imm()) + "LL, cg_na, " + std::to_string(N) +
-       "u, &cg_has); (void)cg_v;");
+       std::to_string(I->imm()) + "LL, cg_na, " + std::to_string(N) + "u, " +
+       std::to_string(static_cast<unsigned>(I->type().kind())) +
+       "u); (void)cg_v;");
   line("  if (L->status != 0u) { " + RetDflt + " }");
-  if (!I->type().isVoid()) {
-    line("  if (!cg_has) " +
-         trapStmt("native op did not produce its declared result"));
-    line("  " + setRes(I, canonExpr(I->type(), "cg_v")));
-  }
+  if (!I->type().isVoid())
+    line("  " + setRes(I, "cg_v"));
   line("}");
 }
 
@@ -897,11 +890,10 @@ void Emitter::emitInstruction(const Instruction *I) {
     emitCmpXchg(I);
     return;
   case Opcode::Malloc:
-    line(setRes(I, "T->host_malloc(T->host, " + val(I->operand(0)) + ")"));
+    line(setRes(I, "T->host_malloc(T->host, L, " + val(I->operand(0)) + ")"));
     return;
   case Opcode::Free:
-    line("{ const std::uint64_t cg_a = " + val(I->operand(0)) +
-         "; if (cg_a != 0ULL) T->host_free(T->host, cg_a); }");
+    line("T->host_free(T->host, L, " + val(I->operand(0)) + ");");
     return;
   case Opcode::Br:
     line(branchTo(I->parent(), I->blockOperand(0)));
@@ -947,7 +939,7 @@ void Emitter::emitInstruction(const Instruction *I) {
     return;
   case Opcode::Barrier:
   case Opcode::AlignedBarrier: {
-    // Suspend this lane's fiber at the rendezvous; the host scheduler
+    // Suspend this lane's fiber at the rendezvous; the team core
     // releases it (status back to 0) once every live lane has arrived, and
     // execution continues right here — whatever the call depth.
     const std::string SiteS = std::to_string(BarrierSites.at(I));
@@ -975,10 +967,9 @@ void Emitter::emitInstruction(const Instruction *I) {
   line(trapStmt("native backend limit: unsupported opcode"));
 }
 
-/// The exported per-kernel lane entry: what the host scheduler runs on
-/// each lane's fiber. Scheduling (the interpreter's run() loop: strict
-/// lane-order sweeps, trap-stops-team, livelock detection, the barrier
-/// rendezvous) lives host-side in NativeBackend.cpp.
+/// The exported per-kernel lane entry: what the host runs for each lane,
+/// on its fiber. Scheduling (strict lane-order sweeps, trap-stops-team,
+/// livelock detection, the barrier rendezvous) is the team core's run().
 void Emitter::emitLaneEntry(const Function &Fn) {
   S += "\nextern \"C\" void " + Out.Kernels.at(Fn.name()).Symbol +
        "(void *LanePtr) {\n  cg_f" + std::to_string(FnOrdinal.at(&Fn)) +

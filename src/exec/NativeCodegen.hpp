@@ -4,10 +4,10 @@
 // translation unit the native backend compiles with the host toolchain and
 // dlopens behind the launch API. Each kernel exports a lane entry the host
 // runs on a per-lane fiber; a barrier anywhere in the lane's call stack
-// suspends the fiber through cg_team::host_suspend, and the host scheduler
-// replays the interpreter's cooperative strict-lane-order run-to-barrier
-// schedule, which is what makes native outputs bit-identical to the tree
-// and bytecode engines.
+// suspends the fiber through cg_team::host_suspend, and the team core all
+// engines share (vgpu::TeamCore) runs its cooperative strict-lane-order
+// run-to-barrier schedule, which is what makes native outputs
+// bit-identical to the tree and bytecode engines.
 //
 //===----------------------------------------------------------------------===//
 #pragma once
@@ -35,8 +35,6 @@ struct NativeCPoolEntry {
 struct NativeKernelInfo {
   std::string Symbol;         ///< exported "extern C" lane-entry symbol
   std::uint32_t NumSlots = 0; ///< kernel-entry value slots per lane
-  bool HasBarriers = false;   ///< barriers in the entry itself (callees may
-                              ///< still suspend through host_suspend)
 };
 
 /// The generated translation unit plus its binding manifest.
@@ -46,7 +44,7 @@ struct NativeModuleSource {
   std::unordered_map<std::string, NativeKernelInfo> Kernels; ///< by IR name
   /// True when any function in the module contains a barrier. When false,
   /// lanes can never suspend, so the backend runs them straight on the
-  /// scheduler's stack instead of spawning fibers.
+  /// worker's stack instead of spawning fibers.
   bool AnyBarriers = false;
 };
 

@@ -265,11 +265,11 @@ void BCTeamExecutor::stepThread(BCThreadState &T) {
     }
     //--- Memory ----------------------------------------------------------------
     case BCOp::Alloca: {
-      const std::uint64_t Off =
-          T.Local.allocate(static_cast<std::uint64_t>(I.Imm));
-      F.Slots[I.Dst] = DeviceAddr::make(MemSpace::Local, Off,
-                                        static_cast<std::uint16_t>(T.Tid))
-                           .Bits;
+      const std::uint64_t A =
+          allocaLocal(T, static_cast<std::uint64_t>(I.Imm));
+      if (T.Status != ThreadStatus::Running)
+        return;
+      F.Slots[I.Dst] = A;
       T.Cycles += C.Alu;
       break;
     }
@@ -474,7 +474,8 @@ void BCTeamExecutor::stepThread(BCThreadState &T) {
     case BCOp::BarrierOp:
     case BCOp::AlignedBarrierOp: {
       T.Status = ThreadStatus::AtBarrier;
-      T.BarrierInst = I.Src;
+      T.BarrierId = reinterpret_cast<std::uintptr_t>(I.Src);
+      T.BarrierAligned = I.Op == BCOp::AlignedBarrierOp;
       return;
     }
     //--- Metadata --------------------------------------------------------------
@@ -507,8 +508,8 @@ void BCTeamExecutor::stepThread(BCThreadState &T) {
       NativeArgs.clear();
       for (std::uint32_t A = 0; A < I.T1; ++A)
         NativeArgs.push_back(Ref(F.BF->Extras[I.T0 + A]));
-      const std::uint64_t R =
-          callNative(T, I.Imm, kind(I.TyKind), globalWindow(T));
+      const std::uint64_t R = callNative(T, I.Imm, kind(I.TyKind),
+                                         globalWindow(T), NativeArgs);
       if (T.Status != ThreadStatus::Running)
         return;
       if (kind(I.TyKind) != TypeKind::Void)

@@ -373,12 +373,11 @@ void TeamExecutor::stepThread(ThreadState &T) {
     }
     //--- Memory ------------------------------------------------------------------
     case Opcode::Alloca: {
-      const std::uint64_t Off =
-          T.Local.allocate(static_cast<std::uint64_t>(I->imm()));
-      setResult(I, F,
-                DeviceAddr::make(MemSpace::Local, Off,
-                                 static_cast<std::uint16_t>(T.Tid))
-                    .Bits);
+      const std::uint64_t A =
+          allocaLocal(T, static_cast<std::uint64_t>(I->imm()));
+      if (T.Status != ThreadStatus::Running)
+        return;
+      setResult(I, F, A);
       T.Cycles += C.Alu;
       break;
     }
@@ -531,7 +530,8 @@ void TeamExecutor::stepThread(ThreadState &T) {
     case Opcode::Barrier:
     case Opcode::AlignedBarrier: {
       T.Status = ThreadStatus::AtBarrier;
-      T.BarrierInst = I;
+      T.BarrierId = reinterpret_cast<std::uintptr_t>(I);
+      T.BarrierAligned = I->opcode() == Opcode::AlignedBarrier;
       return;
     }
     //--- Metadata ------------------------------------------------------------------
@@ -560,8 +560,8 @@ void TeamExecutor::stepThread(ThreadState &T) {
       NativeArgs.clear();
       for (unsigned A = 0; A < I->numOperands(); ++A)
         NativeArgs.push_back(opI(A));
-      const std::uint64_t R =
-          callNative(T, I->imm(), I->type().kind(), GlobalWindow{});
+      const std::uint64_t R = callNative(T, I->imm(), I->type().kind(),
+                                         GlobalWindow{}, NativeArgs);
       if (T.Status != ThreadStatus::Running)
         return;
       if (!I->type().isVoid())

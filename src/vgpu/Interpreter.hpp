@@ -61,11 +61,6 @@ public:
   /// static shared memory footprint (Figure 11 "SMem").
   [[nodiscard]] std::uint64_t sharedStaticSize() const { return SharedSize; }
 
-  /// Initialize a team's shared arena (static segment initializers, zeros
-  /// elsewhere). Arena must be at least sharedStaticSize() bytes.
-  void initTeamShared(std::vector<std::uint8_t> &Arena) const {
-    initTeamShared(Arena.data(), Arena.size());
-  }
   /// Initialize the first Bytes bytes of a team's shared arena in one pass:
   /// the static segment's initializer image, then zeros up to Bytes. For
   /// arenas recycled across teams whose tail is known to be zero already.
@@ -142,12 +137,15 @@ struct LaunchResult {
   LaunchProfile Profile;  ///< populated when Ok and DeviceConfig::CollectProfile
 };
 
-/// Outcome of one team's execution under an interpreting engine, tree or
-/// bytecode (the per-team entry points the exec::Backend architecture
-/// fans out over; launch orchestration lives in exec/LaunchEngine.cpp).
+/// Outcome of one team's execution on the team core (vgpu/TeamCore.hpp),
+/// under any engine; exec::TeamOutcome is this type. Launch orchestration
+/// lives in exec/LaunchEngine.cpp.
 struct TeamRunOutcome {
   std::optional<std::string> Err; ///< trap/deadlock message, empty = clean
   std::uint64_t Cycles = 0;       ///< the team's modeled wall time
+  /// Shared-memory bytes re-initialized at team start
+  /// (exec.team.shared_zeroed_bytes.<backend>).
+  std::uint64_t SharedZeroedBytes = 0;
 };
 
 /// Execute team TeamId of a launch by walking the IR instruction tree

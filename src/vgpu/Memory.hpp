@@ -66,10 +66,19 @@ public:
   /// threads cost nothing.
   explicit BumpArena(std::uint64_t Cap) : Cap(Cap) {}
 
-  /// Allocate Size bytes aligned to 16; returns offset.
+  /// True when allocate(Size) fits under the cap.
+  [[nodiscard]] bool fits(std::uint64_t Size) const {
+    return alignedTop() + Size <= Cap;
+  }
+  /// True when [Offset, Offset + Size) lies under the cap.
+  [[nodiscard]] bool inBounds(std::uint64_t Offset, std::uint64_t Size) const {
+    return Offset + Size <= Cap;
+  }
+
+  /// Allocate Size bytes aligned to 16; returns offset. Requires fits().
   std::uint64_t allocate(std::uint64_t Size) {
-    const std::uint64_t Off = (Top + 15) & ~std::uint64_t{15};
-    CODESIGN_ASSERT(Off + Size <= Cap, "local memory exhausted");
+    CODESIGN_ASSERT(fits(Size), "local memory exhausted");
+    const std::uint64_t Off = alignedTop();
     Top = Off + Size;
     ensure(Top);
     return Off;
@@ -89,13 +98,20 @@ public:
     Top = 0;
   }
 
+  /// Host storage of [Offset, Offset + Size). Requires inBounds().
   [[nodiscard]] std::uint8_t *data(std::uint64_t Offset, std::uint64_t Size) {
-    CODESIGN_ASSERT(Offset + Size <= Cap, "local access out of bounds");
+    CODESIGN_ASSERT(inBounds(Offset, Size), "local access out of bounds");
     ensure(Offset + Size);
     return Bytes.data() + Offset;
   }
+  /// The backing bytes grown so far (a prefix of the arena). data() may
+  /// reallocate them.
+  [[nodiscard]] std::span<std::uint8_t> mapped() { return Bytes; }
 
 private:
+  [[nodiscard]] std::uint64_t alignedTop() const {
+    return (Top + 15) & ~std::uint64_t{15};
+  }
   void ensure(std::uint64_t Size) {
     if (Bytes.size() < Size)
       Bytes.resize(std::max<std::uint64_t>(Size * 2, 256));

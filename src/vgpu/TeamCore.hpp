@@ -1,24 +1,30 @@
-//===- vgpu/TeamCore.hpp - Team semantics shared by the interpreters -------===//
+//===- vgpu/TeamCore.hpp - Team semantics shared by every engine -----------===//
 //
-// One definition of how a team of the virtual GPU executes, shared by the
-// tree interpreter (Interpreter.cpp) and the bytecode executor
-// (BytecodeExecutor.cpp):
+// One definition of how a team of the virtual GPU executes, shared by all
+// three engines: the tree interpreter (Interpreter.cpp), the bytecode
+// executor (BytecodeExecutor.cpp) and the host side of the native backend
+// (exec/NativeBackend.cpp):
 //
 //   - the canonical value encoding, keyed on ir::TypeKind: i1 is 0/1, i32
 //     is sign-extended, i64/ptr raw, f32 keeps its float bits in the low
 //     32 bits, f64 its double bits;
 //   - the evaluation rules for arithmetic, compares and atomics, and the
 //     op-class map of the launch profile;
-//   - TeamCore: the shared arena and address resolution with every trap
-//     text, access charging into one per-team counter block, the race
-//     detector's shadow, device malloc/free, the run-to-barrier loop with
-//     its rendezvous, and the NativeCtx implementation.
+//   - TeamCore: the shared arena and its one reset policy, address
+//     resolution with every trap text, local allocation, access charging
+//     into one per-team counter block, the race detector's shadow, device
+//     malloc/free, the run-to-barrier loop with its rendezvous, team trap
+//     formatting, and the NativeCtx implementation.
 //
-// An engine adds only its frames and its instruction dispatch (stepThread).
-// Everything on a per-access path is an inline template here, so neither
-// engine pays a virtual call for it. The native backend keeps its own
-// generated resolve and fiber schedule (exec/NativeBackend.cpp); the
-// three-way parity suites check it against this core.
+// An engine adds only its thread state and the step that runs one thread
+// until it blocks: the interpreters dispatch over frame stacks, the native
+// backend runs compiled code, on a fiber when the module has barriers.
+// Everything on a per-access path is an inline template here, so no engine
+// pays a virtual call for it, and nothing here asks which engine calls:
+// barrier identity is a value and the shared high-water mark is a plain
+// word the generated code raises through a pointer. The one other resolve
+// is the generated cg_resolve (exec/NativeCodegen.cpp); the three-way
+// parity suites check it against this one.
 //
 //===----------------------------------------------------------------------===//
 #pragma once
@@ -411,13 +417,17 @@ std::uint64_t atomicCas(std::uint8_t *P, std::uint64_t Expected,
 enum class ThreadStatus : std::uint8_t { Running, AtBarrier, Done, Trapped };
 
 /// The per-thread state TeamCore reads and writes. An engine's thread type
-/// derives from it, adds its frame stack, and supplies the run loop's one
-/// engine hook: `void resumeAfterBarrier()`, which steps the thread past
-/// the barrier it is parked on.
+/// derives from it, adds its execution state, and supplies the run loop's
+/// one engine hook: `void resumeAfterBarrier()`, which lets the thread
+/// continue past the barrier it is parked on.
 struct CoreThread {
   std::uint32_t Tid = 0;
   ThreadStatus Status = ThreadStatus::Running;
-  const ir::Instruction *BarrierInst = nullptr;
+  /// The barrier the thread is parked at: whether it is aligned, and a
+  /// value unique per barrier site of the module (the interpreters use the
+  /// instruction's address, native code its site number).
+  bool BarrierAligned = false;
+  std::uint64_t BarrierId = 0;
   std::uint64_t Cycles = 0;
   std::uint64_t InstCount = 0;
   std::string TrapMsg;
@@ -481,14 +491,18 @@ struct HotCounters {
 /// suffices.
 template <typename Thread> struct TeamScratch {
   std::vector<Thread> Threads;
+  /// Sized once at the device cap, so the storage never moves.
   std::vector<std::uint8_t> SharedArena;
+  /// End of the shared prefix a team may have written: every byte at or
+  /// beyond it is zero.
+  std::uint64_t SharedHwm = 0;
   std::vector<std::uint64_t> NativeArgs;
   std::unordered_map<std::uint64_t, ShadowCell> SharedShadow;
 };
 
 /// The engine-independent part of one team's execution. Engines derive
-/// from it, set up each thread's frames, and call run() with their
-/// dispatch loop.
+/// from it, set up each thread's execution state, and call run() with
+/// their step.
 template <typename Thread> class TeamCore {
 public:
   TeamCore(const DeviceConfig &Config, GlobalMemory &GM,
@@ -500,13 +514,19 @@ public:
         TeamId(TeamId), NumTeams(NumTeams), NumThreads(NumThreads),
         Metrics(Metrics), Profile(Profile), GMBase(GM.data(0, 0)),
         GMCap(GM.capacity()), MaxInst(Config.MaxDynamicInstPerThread),
-        SharedArena(Scratch.SharedArena),
+        SharedArena(Scratch.SharedArena), SharedHwm(Scratch.SharedHwm),
         NativeArgs(Scratch.NativeArgs), SharedShadow(Scratch.SharedShadow) {
-    // The arena grows on demand with zero fill (resolve), so truncating it
-    // to the static segment and writing that segment's image is a complete
-    // reset: one pass over sharedStaticSize() bytes.
-    SharedArena.resize(Image.sharedStaticSize());
-    Image.initTeamShared(SharedArena.data(), SharedArena.size());
+    // The arena only grows, with zero fill, and every shared access raises
+    // the high-water mark first (sharedBytes), so re-initializing
+    // [0, max(static segment, mark)) is a complete reset.
+    const std::uint64_t Static = Image.sharedStaticSize();
+    const std::uint64_t Cap =
+        std::max({Config.SharedMemPerTeam, Static, std::uint64_t{1}});
+    if (SharedArena.size() < Cap)
+      SharedArena.resize(Cap, 0);
+    SharedZeroedBytes = std::max(Static, SharedHwm);
+    Image.initTeamShared(SharedArena.data(), SharedZeroedBytes);
+    SharedHwm = Static;
     SharedShadow.clear();
     if (Config.DetectRaces) {
       // The conditional-write dummy absorbs every thread's non-selected
@@ -527,7 +547,8 @@ public:
       CoreThread &TS = Threads[T];
       TS.Tid = T;
       TS.Status = ThreadStatus::Running;
-      TS.BarrierInst = nullptr;
+      TS.BarrierId = 0;
+      TS.BarrierAligned = false;
       TS.Cycles = 0;
       TS.InstCount = 0;
       TS.TrapMsg.clear();
@@ -543,6 +564,7 @@ public:
   /// release each rendezvous. Flushes the hot counters either way.
   template <typename StepFn> TeamRunOutcome run(StepFn &&Step) {
     TeamRunOutcome Out;
+    Out.SharedZeroedBytes = SharedZeroedBytes;
     Out.Err = runToCompletion(Step);
     Cnt.flush(Metrics, Profile);
     if (!Out.Err)
@@ -588,15 +610,10 @@ protected:
       }
       return GMBase + A.offset();
     case MemSpace::Shared:
-      if (A.offset() + Size > SharedArena.size()) {
-        // Grow: dynamic shared memory region beyond statics.
-        if (A.offset() + Size > Config.SharedMemPerTeam) {
-          trap(T, "shared memory access out of bounds");
-          return nullptr;
-        }
-        SharedArena.resize(A.offset() + Size, 0);
-      }
-      return SharedArena.data() + A.offset();
+      if (std::uint8_t *P = sharedBytes(A.offset(), Size))
+        return P;
+      trap(T, "shared memory access out of bounds");
+      return nullptr;
     case MemSpace::Local:
       if (Config.DebugChecks && A.owner() != T.Tid) {
         trap(T,
@@ -606,6 +623,10 @@ protected:
                  "); such variables must be globalized");
         return nullptr;
       }
+      if (!T.Local.inBounds(A.offset(), Size)) {
+        trap(T, "local access out of bounds");
+        return nullptr;
+      }
       return T.Local.data(A.offset(), Size);
     case MemSpace::Invalid:
       trap(T, A.isNull() ? "null pointer dereference"
@@ -613,6 +634,27 @@ protected:
       return nullptr;
     }
     CODESIGN_UNREACHABLE("bad memory space");
+  }
+
+  /// Host storage of shared bytes [Off, Off + Bytes), raising the
+  /// high-water mark over them; null beyond SharedMemPerTeam.
+  std::uint8_t *sharedBytes(std::uint64_t Off, std::uint64_t Bytes) {
+    if (Off + Bytes > Config.SharedMemPerTeam)
+      return nullptr;
+    SharedHwm = std::max(SharedHwm, Off + Bytes);
+    return SharedArena.data() + Off;
+  }
+
+  /// Alloca of Size bytes in T's local arena: the device address of the
+  /// slot, or 0 after trapping when the arena is exhausted.
+  std::uint64_t allocaLocal(CoreThread &T, std::uint64_t Size) {
+    if (!T.Local.fits(Size)) {
+      trap(T, "local memory exhausted");
+      return 0;
+    }
+    return DeviceAddr::make(MemSpace::Local, T.Local.allocate(Size),
+                            static_cast<std::uint16_t>(T.Tid))
+        .Bits;
   }
 
   void chargeAccess(CoreThread &T, MemSpace S, bool IsStore, bool IsAtomic,
@@ -806,18 +848,20 @@ protected:
     return {GMBase, GMCap, Config.Costs.GlobalAccess, &T.Cycles, &Cnt.Global};
   }
 
-  /// Run registered native op Id for T over NativeArgs (filled by the
-  /// engine). Accesses inside W are served inline; an empty window keeps
-  /// every access on NativeCtx's virtual path. Returns the canonical result
-  /// for a non-void RetK (0 after a trap).
+  /// Run registered native op Id for T over Args. Accesses inside W are
+  /// served inline; an empty window keeps every access on NativeCtx's
+  /// virtual path. Returns the canonical result for a non-void RetK (0
+  /// after a trap).
   std::uint64_t callNative(CoreThread &T, std::int64_t Id, ir::TypeKind RetK,
-                           GlobalWindow W) {
-    NativeCtxImpl Ctx(*this, T, W);
+                           GlobalWindow W, std::span<const std::uint64_t> Args) {
+    NativeCtxImpl Ctx(*this, T, W, Args);
     Registry.get(Id).Fn(Ctx);
     if (T.Status != ThreadStatus::Running || RetK == ir::TypeKind::Void)
       return 0;
-    CODESIGN_ASSERT(Ctx.HasResult,
-                    "native op did not produce its declared result");
+    if (!Ctx.HasResult) {
+      trap(T, "native op did not produce its declared result");
+      return 0;
+    }
     return canonValue(RetK, Ctx.Result);
   }
 
@@ -837,10 +881,12 @@ protected:
   const std::uint64_t MaxInst; ///< Config.MaxDynamicInstPerThread
   // Per-worker scratch (TeamScratch), reset for this team.
   std::vector<std::uint8_t> &SharedArena;
+  std::uint64_t &SharedHwm;
   std::vector<std::uint64_t> &NativeArgs;
   std::unordered_map<std::uint64_t, ShadowCell> &SharedShadow;
   std::span<Thread> Threads;
   HotCounters Cnt;
+  std::uint64_t SharedZeroedBytes = 0; ///< re-initialized at team start
   // Race detector state (only touched when Config.DetectRaces). Epochs
   // start at 1 so a zero-initialized ShadowCell never matches.
   std::uint64_t BarrierEpoch = 1;
@@ -852,17 +898,18 @@ private:
   /// detection aside: native bodies are opaque to the shadow).
   class NativeCtxImpl final : public NativeCtx {
   public:
-    NativeCtxImpl(TeamCore &Core, CoreThread &T, GlobalWindow W)
-        : Core(Core), T(T) {
+    NativeCtxImpl(TeamCore &Core, CoreThread &T, GlobalWindow W,
+                  std::span<const std::uint64_t> Args)
+        : Core(Core), T(T), Args(Args) {
       Window = W;
     }
 
     unsigned numArgs() const override {
-      return static_cast<unsigned>(Core.NativeArgs.size());
+      return static_cast<unsigned>(Args.size());
     }
     std::uint64_t argBits(unsigned I) const override {
-      CODESIGN_ASSERT(I < Core.NativeArgs.size(), "native arg out of range");
-      return Core.NativeArgs[I];
+      CODESIGN_ASSERT(I < Args.size(), "native arg out of range");
+      return Args[I];
     }
     std::uint64_t loadBits(DeviceAddr A, unsigned Size) override {
       std::uint8_t *P = Core.resolve(A, Size, T);
@@ -917,16 +964,12 @@ private:
     }
 
   private:
-    /// En-bloc view of Count in-cap shared f64s at A (the arena grows with
-    /// zero fill like resolve), or null to take the scalar loop.
+    /// En-bloc view of Count in-cap shared f64s at A, or null to take the
+    /// scalar loop.
     std::uint8_t *sharedBlock(DeviceAddr A, std::uint32_t Count) {
-      const std::uint64_t End =
-          A.offset() + static_cast<std::uint64_t>(Count) * 8;
-      if (A.space() != MemSpace::Shared || End > Core.Config.SharedMemPerTeam)
+      if (A.space() != MemSpace::Shared)
         return nullptr;
-      if (End > Core.SharedArena.size())
-        Core.SharedArena.resize(End, 0);
-      return Core.SharedArena.data() + A.offset();
+      return Core.sharedBytes(A.offset(), static_cast<std::uint64_t>(Count) * 8);
     }
     void chargeShared(bool IsStore, std::uint32_t Count) {
       const std::uint64_t Bytes = static_cast<std::uint64_t>(Count) * 8;
@@ -938,6 +981,7 @@ private:
 
     TeamCore &Core;
     CoreThread &T;
+    std::span<const std::uint64_t> Args;
   };
 
   //--- Barrier rendezvous ----------------------------------------------------
@@ -947,24 +991,27 @@ private:
   /// and resume the arrivals.
   std::optional<std::string> releaseBarrier() {
     // Debug semantics: if any arrival is at an *aligned* barrier, all live
-    // threads must sit at the same instruction (paper Section III-G's
-    // runtime invariant verification).
-    const ir::Instruction *AlignedAt = nullptr;
+    // threads must sit at the same barrier (paper Section III-G's runtime
+    // invariant verification).
+    bool AnyAligned = false;
+    std::uint64_t AlignedAt = 0;
     std::uint64_t MaxArrival = 0;
     for (const Thread &T : Threads) {
       if (T.Status != ThreadStatus::AtBarrier)
         continue;
       MaxArrival = std::max(MaxArrival, T.Cycles);
-      if (T.BarrierInst->opcode() == ir::Opcode::AlignedBarrier)
-        AlignedAt = T.BarrierInst;
+      if (T.BarrierAligned) {
+        AnyAligned = true;
+        AlignedAt = T.BarrierId;
+      }
     }
-    if (Config.DebugChecks && AlignedAt) {
+    if (Config.DebugChecks && AnyAligned) {
       for (const Thread &T : Threads)
-        if (T.Status == ThreadStatus::AtBarrier && T.BarrierInst != AlignedAt)
+        if (T.Status == ThreadStatus::AtBarrier && T.BarrierId != AlignedAt)
           return "team " + std::to_string(TeamId) +
                  ": aligned barrier reached with unaligned threads";
     }
-    if (Config.DetectRaces && AlignedAt) {
+    if (Config.DetectRaces && AnyAligned) {
       // An aligned barrier promises that *every* thread of the team
       // arrives; a thread that already returned from the kernel can never
       // rendezvous, i.e. the barrier sits under divergent control. Real
@@ -987,7 +1034,6 @@ private:
         continue;
       T.Cycles = Release;
       T.Status = ThreadStatus::Running;
-      T.BarrierInst = nullptr;
       T.resumeAfterBarrier();
     }
     ++BarrierEpoch; // the rendezvous orders all prior accesses before all

@@ -1,9 +1,9 @@
 //===- tests/exec/test_team_setup.cpp - Recycled team state is invisible ---===//
 //
-// The bytecode and native backends recycle team state on each worker
-// thread: the native shared arena is re-zeroed only below its high-water
-// mark, and bytecode keeps thread states, frames and arenas across teams.
-// None of that may be observable. Every case runs on tree,
+// Every backend recycles team state on each worker thread (the team
+// core's TeamScratch): the shared arena is re-initialized only below its
+// high-water mark, and thread states, frames, lanes and arenas are kept
+// across teams. None of that may be observable. Every case runs on tree,
 // bytecode and native, with HostThreads 1 and 4 and profiling off and on,
 // and requires:
 //   - bit-identical outputs (and launch errors) across all twelve runs;
@@ -432,7 +432,8 @@ TEST(TeamSetup, NativeGlobalAccessAtArenaEdge) {
 /// Launch-level counters: one Counters::add per launch, teams summed over
 /// the shards. A kernel with no static shared memory that touches none
 /// re-zeroes nothing in steady state; after a team dirtied [0, E), the
-/// next team on that worker re-zeroes exactly E bytes.
+/// next team on that worker re-zeroes exactly E bytes, on every backend
+/// (they share one reset policy).
 TEST(TeamSetup, LaunchCountersTrackTeamsAndZeroedBytes) {
   Module Plain("team_setup_plain");
   {
@@ -473,8 +474,21 @@ TEST(TeamSetup, LaunchCountersTrackTeamsAndZeroedBytes) {
       });
     }
   }
-  // Native, one host thread: every team of the dirty kernel dirties
-  // [0, DirtyEnd), so every team after the first re-zeroes exactly that.
+  // One host thread: every team of the dirty kernel dirties [0, DirtyEnd),
+  // so every team after the first re-zeroes exactly that.
+  for (const char *Backend : {"tree", "bytecode"}) {
+    runCase({Backend, 1, false}, [&](VirtualGPU &GPU) {
+      RunResult R;
+      auto Image = GPU.loadImage(*Dirty);
+      launchDirty(GPU, *Image, "dirty", {1}, R);
+      const std::string ZeroKey =
+          std::string("exec.team.shared_zeroed_bytes.") + Backend;
+      const std::uint64_t Zero0 = Cnt.value(ZeroKey);
+      launchDirty(GPU, *Image, "dirty", {2}, R);
+      EXPECT_EQ(Cnt.value(ZeroKey) - Zero0, Teams * DirtyEnd) << Backend;
+      return R;
+    });
+  }
   runCase({"native", 1, false}, [&](VirtualGPU &GPU) {
     RunResult R;
     auto Image = GPU.loadImage(*Dirty);

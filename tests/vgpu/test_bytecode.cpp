@@ -3,9 +3,10 @@
 // Differential proof for the bytecode tier: every kernel here runs under
 // both interpreting backends (tree and bytecode) and must produce
 // bit-identical memory, metrics, profiles, and trap messages. The trap
-// verdicts of the shared team core (TeamCore.hpp) also run on the native
-// backend, whose resolve and schedule are its own, and must carry the
-// same error text there. The suite
+// verdicts of the team core all three engines share (TeamCore.hpp) also
+// run on the native backend, whose generated code has its own resolve,
+// and must carry the same error text and barrier and malloc counts there.
+// The suite
 // doubles as the evaluator-semantics regression net for the IntOps.hpp
 // wrapping arithmetic — the cases below (INT64_MIN / -1, overflow wrap,
 // shifts at the type width, i32 canonicalization, float-to-int saturation)
@@ -38,6 +39,9 @@ struct TierRun {
   std::vector<std::uint8_t> Out;
 };
 
+/// Native op 0 on every test device: it produces no result.
+constexpr std::int64_t MuteOp = 0;
+
 /// Build a fresh module with Build, load it on a device pinned to the
 /// named execution backend, and launch Kernel with an output buffer of
 /// BufBytes as argument 0 followed by ExtraArgs.
@@ -55,6 +59,7 @@ TierRun runTier(std::string_view Backend,
   auto Pinned = GPU.setExecBackend(Backend);
   CODESIGN_ASSERT(Pinned.hasValue(), "bad backend name in test");
   GPU.setDetectRaces(DetectRaces);
+  GPU.registry().add({"mute", [](NativeCtx &) {}, 0});
   auto Image = GPU.loadImage(M);
   const std::uint64_t Size = std::max<std::uint64_t>(BufBytes, 8);
   DeviceAddr Buf = GPU.allocate(Size);
@@ -128,7 +133,8 @@ TierRun runBothTiers(const std::function<void(Module &)> &Build,
 }
 
 /// Run under tree and bytecode (required identical, as runBothTiers) and
-/// under native, which must reach the same verdict with the same text.
+/// under native, which must reach the same verdict with the same text and,
+/// on success, the same output and backend-independent metrics.
 TierRun runThreeTiers(const std::function<void(Module &)> &Build,
                       const std::string &Kernel, std::uint64_t BufBytes,
                       std::uint32_t Threads) {
@@ -137,6 +143,11 @@ TierRun runThreeTiers(const std::function<void(Module &)> &Build,
       runTier("native", Build, Kernel, BufBytes, {}, /*Teams=*/1, Threads);
   EXPECT_EQ(Native.LR.Ok, BC.LR.Ok);
   EXPECT_EQ(Native.LR.Error, BC.LR.Error);
+  if (Native.LR.Ok && BC.LR.Ok) {
+    EXPECT_EQ(Native.Out, BC.Out);
+    EXPECT_EQ(Native.LR.Metrics.Barriers, BC.LR.Metrics.Barriers);
+    EXPECT_EQ(Native.LR.Metrics.DeviceMallocs, BC.LR.Metrics.DeviceMallocs);
+  }
   return BC;
 }
 
@@ -666,6 +677,116 @@ TEST(BytecodeTier, CrossThreadLocalAccessVerdictIdentical) {
             "thread 1 of team 0: cross-thread access to local memory "
             "(thread 1 dereferenced a pointer owned by thread 0); such "
             "variables must be globalized");
+}
+
+TEST(BytecodeTier, LocalOutOfBoundsVerdictIdentical) {
+  // A load 1 MiB past an 8-byte alloca, far beyond LocalMemPerThread.
+  TierRun R = runThreeTiers(
+      [](Module &M) {
+        Function *K = M.createFunction("far", Type::voidTy(), {Type::ptr()});
+        K->addAttr(FnAttr::Kernel);
+        IRBuilder B(M);
+        B.setInsertPoint(K->createBlock("entry"));
+        Value *Slot = B.allocaBytes(8, "slot");
+        B.store(B.load(Type::i64(), B.gep(Slot, B.i64(1 << 20))), K->arg(0));
+        B.retVoid();
+        ASSERT_TRUE(verifyModule(M).empty());
+      },
+      "far", 8, /*Threads=*/1);
+  EXPECT_FALSE(R.LR.Ok);
+  EXPECT_EQ(R.LR.Error, "thread 0 of team 0: local access out of bounds");
+}
+
+TEST(BytecodeTier, AllocaExhaustionVerdictIdentical) {
+  // A 1 MiB alloca does not fit in LocalMemPerThread.
+  TierRun R = runThreeTiers(
+      [](Module &M) {
+        Function *K = M.createFunction("huge", Type::voidTy(), {Type::ptr()});
+        K->addAttr(FnAttr::Kernel);
+        IRBuilder B(M);
+        B.setInsertPoint(K->createBlock("entry"));
+        Value *Big = B.allocaBytes(1 << 20, "big");
+        B.store(B.i64(1), Big);
+        B.retVoid();
+        ASSERT_TRUE(verifyModule(M).empty());
+      },
+      "huge", 8, /*Threads=*/1);
+  EXPECT_FALSE(R.LR.Ok);
+  EXPECT_EQ(R.LR.Error, "thread 0 of team 0: local memory exhausted");
+}
+
+TEST(BytecodeTier, TrapWhileOthersParkAtBarrierVerdictIdentical) {
+  // Threads 0 and 1 park at a barrier; thread 2 then traps. The sweep
+  // stops the team at the trap, before any rendezvous.
+  TierRun R = runThreeTiers(
+      [](Module &M) {
+        Function *K = M.createFunction("park", Type::voidTy(), {Type::ptr()});
+        K->addAttr(FnAttr::Kernel);
+        BasicBlock *Entry = K->createBlock("entry");
+        BasicBlock *Wait = K->createBlock("wait");
+        BasicBlock *Die = K->createBlock("die");
+        BasicBlock *Done = K->createBlock("done");
+        IRBuilder B(M);
+        B.setInsertPoint(Entry);
+        B.condBr(B.icmpSLT(B.threadId(), B.i32(2)), Wait, Die);
+        B.setInsertPoint(Wait);
+        B.barrier();
+        B.br(Done);
+        B.setInsertPoint(Die);
+        B.trap();
+        B.unreachable();
+        B.setInsertPoint(Done);
+        B.retVoid();
+        ASSERT_TRUE(verifyModule(M).empty());
+      },
+      "park", 8, /*Threads=*/3);
+  EXPECT_FALSE(R.LR.Ok);
+  EXPECT_EQ(R.LR.Error, "thread 2 of team 0: trap executed");
+}
+
+TEST(BytecodeTier, BarrierAndMallocCountsIdentical) {
+  // Every thread mallocs a cell, writes its id, meets the others at two
+  // barriers, sums its cell into the output and frees it.
+  TierRun R = runThreeTiers(
+      [](Module &M) {
+        Function *K = M.createFunction("heap", Type::voidTy(), {Type::ptr()});
+        K->addAttr(FnAttr::Kernel);
+        IRBuilder B(M);
+        B.setInsertPoint(K->createBlock("entry"));
+        Value *Cell = B.mallocOp(B.i64(16));
+        B.store(B.zext(B.threadId(), Type::i64()), Cell);
+        B.barrier(1);
+        B.barrier(2);
+        B.atomicRMW(AtomicOp::Add, K->arg(0), B.load(Type::i64(), Cell));
+        B.freeOp(Cell);
+        B.retVoid();
+        ASSERT_TRUE(verifyModule(M).empty());
+      },
+      "heap", 8, /*Threads=*/4);
+  ASSERT_TRUE(R.LR.Ok) << R.LR.Error;
+  EXPECT_EQ(loadI64(R, 0), 0 + 1 + 2 + 3);
+  EXPECT_EQ(R.LR.Metrics.Barriers, 2u);
+  EXPECT_EQ(R.LR.Metrics.DeviceMallocs, 4u);
+}
+
+TEST(BytecodeTier, MissingNativeResultVerdictIdentical) {
+  // A native op declared to return i64 that sets no result traps.
+  TierRun R = runThreeTiers(
+      [](Module &M) {
+        Function *K = M.createFunction("mute", Type::voidTy(), {Type::ptr()});
+        K->addAttr(FnAttr::Kernel);
+        IRBuilder B(M);
+        B.setInsertPoint(K->createBlock("entry"));
+        B.store(B.nativeOp(MuteOp, Type::i64(), {}, NativeOpFlags{}),
+                K->arg(0));
+        B.retVoid();
+        ASSERT_TRUE(verifyModule(M).empty());
+      },
+      "mute", 8, /*Threads=*/1);
+  EXPECT_FALSE(R.LR.Ok);
+  EXPECT_EQ(R.LR.Error,
+            "thread 0 of team 0: native op did not produce its declared "
+            "result");
 }
 
 } // namespace
